@@ -15,6 +15,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --offline
 
+# The repository benchmark (perfbench/, declared in BENCHMARK.json) is its
+# own workspace, so the builds above never compile it. Building it here
+# makes an API change it depends on fail CI instead of only the benchmark.
+echo "==> perfbench build"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # The suite runs twice: serial (SR_THREADS=1) and parallel (SR_THREADS=4).
 # Results are identical by contract (docs/PERFORMANCE.md); the two passes
 # keep both the serial fast paths and the pool fan-out honest.
@@ -69,7 +75,7 @@ SR_THREADS=4 cargo test -q --offline -p sr-serve --test prop_v2
 
 # The localized re-partitioning contract (docs/INGESTION.md, "The
 # localized walk"): run_localized over any dirty sequence is bit-identical
-# to the batch driver's hinted walk on the same inputs, at every thread
+# to a fresh-state (batch) walk with the same hint, at every thread
 # count. The sr-core unit tests and the engine-level property tests in
 # ingest_convergence both cover it; pinned here at both thread counts.
 echo "==> localized repartition (SR_THREADS=1)"

@@ -6,16 +6,13 @@
 //! at the workspace root.
 //!
 //! The acceptance bar (`docs/INGESTION.md` §7): at ≤10% dirty cells per
-//! batch, incremental maintenance (`ingest/maintain/incremental_*`) must
-//! be at least 3× faster than the full recompute
-//! (`ingest/maintain/full_*`). Both sides leave a partition whose IFL is
-//! within θ after every batch — the batch pipeline by re-running the
-//! driver from scratch, the engine by patching the scan inputs and
-//! absorbing the dirty cells into its live split-on-write tier; the exact
-//! driver walk then re-runs on demand over the patched inputs
-//! (`ingest/repartition/*` reports that cost transparently — the walk
-//! dominates it, so the scan cache alone is a modest win; the per-batch
-//! rows are where incremental maintenance earns its keep).
+//! batch, absorbing a batch (`ingest/maintain/incremental_*`: bin + scan
+//! patch) must be at least 3× faster than the full recompute
+//! (`ingest/maintain/full_*`: re-bin + a from-scratch driver run). The
+//! exact walk then runs on demand over the patched inputs
+//! (`ingest/repartition/*` reports that cost transparently: one-shot
+//! walks with and without the scan cache, and the localized walk that
+//! carries its state between runs).
 //!
 //! Delta values stay below the seeded per-attribute maximum on purpose:
 //! a new maximum re-normalizes every cell and forces the documented
@@ -156,8 +153,7 @@ fn main() {
         let deltas: Vec<PointChunk> = (0..DELTAS).map(|_| delta_chunk(&mut rng, dirty)).collect();
 
         // Incremental side: a warmed engine (seed batch + one exact
-        // re-partition) absorbs each delta by patching scan inputs and
-        // the live tier.
+        // re-partition) absorbs each delta by patching scan inputs.
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
         engine.apply_batch(&seed).unwrap();
@@ -193,9 +189,10 @@ fn main() {
     // Exact re-partition, with and without the maintained scan cache —
     // reported transparently: the threshold walk dominates both, so the
     // cached variation scan is a modest (not 3×) win here. `scan_cached`
-    // deliberately measures the *non*-localized walk over patched inputs
-    // ([`Repartitioner::run_with_scan`]) so the localized rows below have
-    // a stable baseline to be compared against.
+    // deliberately measures a one-shot walk over patched inputs
+    // ([`Repartitioner::run_with_scan`], no state carried between runs)
+    // so the localized rows below have a stable baseline to be compared
+    // against.
     {
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();

@@ -13,17 +13,13 @@
 //! Null cells only ever group with adjacent null cells; a valid cell with no
 //! compatible neighbor forms a singleton group.
 
-use crate::partition::{GroupId, GroupRect, Partition};
+use crate::partition::{GroupRect, Partition};
 use sr_grid::GridDataset;
 
 /// Slack added to the variation comparison so a threshold that was itself
 /// produced from these variations (heap pops) re-accepts the generating pair
 /// despite floating-point noise.
 pub(crate) const VARIATION_SLACK: f64 = 1e-12;
-
-/// Sentinel group id marking a not-yet-assigned cell during extraction.
-/// Group counts are bounded by the cell count, which is far below `u32::MAX`.
-const UNASSIGNED: GroupId = GroupId::MAX;
 
 /// Pre-computed per-edge variations of a grid, reusable across extraction
 /// passes at different thresholds.
@@ -194,83 +190,66 @@ pub fn extract_cell_groups_with(
 /// Algorithm 1 on pre-computed [`EdgeVariations`]: one threshold pass
 /// without recomputing any pair variation. The greedy row-major scan
 /// itself is inherently sequential (each group consumes cells the next
-/// anchor decision depends on) and cheap next to the variation math.
+/// anchor decision depends on) and cheap next to the variation math. It is
+/// the same row cursor (`scan_row`) the driver's threshold walk runs.
 pub fn extract_with_edges(
     edge_variations: &EdgeVariations,
     min_adjacent_variation: f64,
 ) -> Partition {
-    let mut out = Partition::empty();
-    extract_with_edges_into(edge_variations, min_adjacent_variation, &mut out);
-    out
-}
-
-/// [`extract_with_edges`] into a reused partition: `out`'s group/cell index
-/// buffers are refilled in place, keeping their allocations. The driver
-/// recycles them across its dozens of evaluations per run. The `cIndex`
-/// buffer, reset to the [`UNASSIGNED`] sentinel, doubles as the scan's
-/// visited map, so a pass needs no side storage at all.
-pub(crate) fn extract_with_edges_into(
-    edge_variations: &EdgeVariations,
-    min_adjacent_variation: f64,
-    out: &mut Partition,
-) {
-    let rows = edge_variations.rows;
-    let cols = edge_variations.cols;
+    let (rows, cols) = (edge_variations.rows, edge_variations.cols);
     let accept = min_adjacent_variation + VARIATION_SLACK;
-
-    let (mut groups, mut cell_to_group) = out.take_parts();
-    groups.clear();
-    cell_to_group.clear();
-    cell_to_group.resize(rows * cols, UNASSIGNED);
-
+    let mut bot = vec![0u32; cols];
+    let (mut rects, mut reach, mut run_width) = (Vec::new(), Vec::new(), Vec::new());
     for r in 0..rows {
-        let rowbase = r * cols;
-        let mut c = 0usize;
-        while c < cols {
-            if cell_to_group[rowbase + c] != UNASSIGNED {
-                c += 1;
-                continue;
-            }
-            let (height, width) = best_anchored_rect(edge_variations, &cell_to_group, accept, r, c);
-            let gid = groups.len() as GroupId;
-            let rect = GroupRect {
-                r0: r as u32,
-                r1: (r + height - 1) as u32,
-                c0: c as u32,
-                c1: (c + width - 1) as u32,
-            };
-            for rr in r..r + height {
-                cell_to_group[rr * cols + c..rr * cols + c + width].fill(gid);
-            }
-            groups.push(rect);
-            // The cells just filled in the anchor row are this group's; the
-            // scan can resume directly past them.
-            c += width;
-        }
+        scan_row(edge_variations, accept, r, &mut bot, &mut rects, &mut reach, &mut run_width);
     }
-
-    *out = Partition::new(rows, cols, groups, cell_to_group);
+    Partition::from_rects(rows, cols, rects)
 }
 
-/// Finds the maximum-area rectangle anchored at `(r, c)` (its top-left
-/// corner) whose internal adjacent pairs are all compatible and whose cells
-/// are all unvisited. Returns `(height, width)`, both ≥ 1.
+/// Scans row `r` of Algorithm 1's row-major cursor, appending the emitted
+/// rectangles with their probe footprints and advancing the spill profile.
 ///
-/// This subsumes the paper's separate `hCount` / `vCount` / `rCount`
-/// comparison: height 1 yields the maximal horizontal run, width 1 survives
-/// exactly as long as the maximal vertical run, and the scan maximizes the
-/// area over every anchored height.
-fn best_anchored_rect(
+/// `bot[c]` is one past the deepest row covered by any rectangle emitted so
+/// far in column `c`. For the scan row `r`, `(rr, c)` with `rr ≥ r` is
+/// assigned iff `rr < bot[c]` — every rectangle still covering rows `≥ r`
+/// was anchored at a row `≤ r`, so its column coverage at rows `≥ r` is
+/// contiguous from `r` down to its bottom row. The cursor skips spilled-over
+/// cells, probes at each anchor, and jumps past the emitted width.
+///
+/// Per rectangle, `reach` records the deepest row its probe visited and
+/// `run_width` its anchor-row run width ([`RectProbe`]); the localized
+/// replay keys its dirty-region checks on that footprint.
+pub(crate) fn scan_row(
     edges: &EdgeVariations,
-    assigned: &[GroupId],
     accept: f64,
     r: usize,
-    c: usize,
-) -> (usize, usize) {
+    bot: &mut [u32],
+    rects: &mut Vec<GroupRect>,
+    reach: &mut Vec<u32>,
+    run_width: &mut Vec<u32>,
+) {
     let cols = edges.cols;
-    let probe =
-        probe_anchored_rect(edges, accept, r, c, |rr, cc| assigned[rr * cols + cc] != UNASSIGNED);
-    (probe.height, probe.width)
+    let mut c = 0usize;
+    while c < cols {
+        if bot[c] as usize > r {
+            c += 1;
+            continue;
+        }
+        let probe = probe_anchored_rect(edges, accept, r, c, bot);
+        let (h, w) = (probe.height, probe.width);
+        rects.push(GroupRect {
+            r0: r as u32,
+            r1: (r + h - 1) as u32,
+            c0: c as u32,
+            c1: (c + w - 1) as u32,
+        });
+        reach.push(probe.reach as u32);
+        run_width.push(probe.run_width as u32);
+        for col in &mut bot[c..c + w] {
+            *col = (r + h) as u32;
+        }
+        c += w;
+    }
 }
 
 /// Result of one anchored-rectangle probe, including the extent of the
@@ -279,30 +258,34 @@ fn best_anchored_rect(
 /// endpoints of every compared edge included). The localized replay keys
 /// its dirty-region checks on exactly this box.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RectProbe {
-    pub(crate) height: usize,
-    pub(crate) width: usize,
+struct RectProbe {
+    height: usize,
+    width: usize,
     /// Last row index the exploration visited (≥ the rect's bottom row).
-    pub(crate) reach: usize,
+    reach: usize,
     /// Width of the maximal anchor-row run (≥ the rect's width).
-    pub(crate) run_width: usize,
+    run_width: usize,
 }
 
-/// The anchored-rectangle scan over an abstract assignment predicate
-/// (`is_assigned(row, col)`), shared verbatim — same comparisons,
-/// same order — by the batch extractor (predicate over `cell_to_group`)
-/// and the localized replay (predicate over a per-column spill profile).
-/// Monomorphized per predicate, so the batch path's codegen is unchanged.
-pub(crate) fn probe_anchored_rect(
+/// Finds the maximum-area rectangle anchored at `(r, c)` (its top-left
+/// corner) whose internal adjacent pairs are all compatible and whose cells
+/// are all unassigned under the spill profile `bot` (see [`scan_row`]).
+///
+/// This subsumes the paper's separate `hCount` / `vCount` / `rCount`
+/// comparison: height 1 yields the maximal horizontal run, width 1 survives
+/// exactly as long as the maximal vertical run, and the scan maximizes the
+/// area over every anchored height.
+fn probe_anchored_rect(
     edges: &EdgeVariations,
     accept: f64,
     r: usize,
     c: usize,
-    is_assigned: impl Fn(usize, usize) -> bool,
+    bot: &[u32],
 ) -> RectProbe {
     let rows = edges.rows;
     let cols = edges.cols;
     let (eh, ev) = (&edges.h[..], &edges.v[..]);
+    let is_assigned = |rr: usize, cc: usize| rr < bot[cc] as usize;
 
     // Maximal horizontal run in the anchor row.
     let mut width = 1usize;

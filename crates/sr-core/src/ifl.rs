@@ -6,7 +6,6 @@
 //! is divided back by the group's member count, while an `Avg`-typed group
 //! value applies to each member directly.
 
-use crate::allocator::GroupFeatures;
 use crate::partition::Partition;
 use sr_grid::{AggType, CellId, GridDataset, IflOptions};
 
@@ -86,91 +85,10 @@ pub fn partition_ifl_with(
     ifl_over_cells(original, partition, &reps, &skip, &cells, &cache, pool)
 }
 
-/// IFL (Eq. 3) directly from a flat [`GroupFeatures`] arena — the
-/// allocation-free form the driver uses once per iteration. Numerically
-/// identical to [`partition_ifl`] on the materialized features.
-pub fn partition_ifl_groups(
-    original: &GridDataset,
-    partition: &Partition,
-    group_features: &GroupFeatures,
-    opts: IflOptions,
-) -> f64 {
-    partition_ifl_groups_with(original, partition, group_features, opts, sr_par::Pool::global())
-}
-
-/// [`partition_ifl_groups`] on an explicit pool.
-pub fn partition_ifl_groups_with(
-    original: &GridDataset,
-    partition: &Partition,
-    group_features: &GroupFeatures,
-    opts: IflOptions,
-    pool: &sr_par::Pool,
-) -> f64 {
-    let cells: Vec<CellId> = original.valid_cells().collect();
-    let cache = IflCellCache::build(original, &cells, opts);
-    ifl_groups_over_cells(
-        original,
-        partition,
-        group_features,
-        &cells,
-        &cache,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        pool,
-    )
-}
-
 /// Tests the skip bit of group `g`.
 #[inline]
 fn skip_bit(skip: &[u64], g: usize) -> bool {
     (skip[g >> 6] >> (g & 63)) & 1 != 0
-}
-
-/// Flat-arena IFL over a caller-supplied valid-cell list, term cache, and
-/// representatives/skip buffers, so the driver can build the first two
-/// (they are partition-independent) once per run and reuse the buffers'
-/// pages across its dozens of evaluations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ifl_groups_over_cells(
-    original: &GridDataset,
-    partition: &Partition,
-    group_features: &GroupFeatures,
-    cells: &[CellId],
-    cache: &IflCellCache,
-    reps_buf: &mut Vec<f64>,
-    skip_buf: &mut Vec<u64>,
-    pool: &sr_par::Pool,
-) -> f64 {
-    debug_assert_eq!(group_features.num_groups(), partition.num_groups());
-    let p = original.num_attrs();
-    let aggs = original.agg_types();
-    let n_groups = partition.num_groups();
-    // The representatives arena is sized but deliberately not zeroed: the
-    // kernel only reads rows of groups that are neither skipped nor null,
-    // and every such row is written below. Null groups own no valid cell,
-    // so their (stale) rows are unreachable from the cell walk.
-    reps_buf.resize(n_groups * p, 0.0);
-    skip_buf.clear();
-    skip_buf.resize(n_groups.div_ceil(64), 0);
-    for g in 0..n_groups {
-        if let Some(fv) = group_features.row(g) {
-            let members = group_features.valid_count(g);
-            // A group with exactly one valid member represents that cell
-            // by its own value — every aggregation reduces to the identity
-            // on a single value, and Sum divides back by 1 — so all of its
-            // Eq. 3 terms are exact zeros and the cell can be skipped
-            // without changing a single bit of the sum. Its rep row is
-            // never read either, so it is not even written.
-            if members == 1 {
-                skip_buf[g >> 6] |= 1u64 << (g & 63);
-                continue;
-            }
-            for k in 0..p {
-                reps_buf[g * p + k] = representative(fv[k], aggs[k], members);
-            }
-        }
-    }
-    ifl_over_cells(original, partition, reps_buf, skip_buf, cells, cache, pool)
 }
 
 /// Per-run cache of the partition-independent parts of Eq. 3: the inverse
@@ -285,7 +203,7 @@ impl IflCellCache {
 /// `|d − r| · 0.0 = 0.0` to a non-negative partial sum leaves it unchanged,
 /// so no per-term branch is needed. Cells whose group is flagged in `skip`
 /// (single-valid-member groups) contribute only exact-zero terms and are
-/// skipped wholesale — early driver iterations are dominated by them.
+/// skipped wholesale — fine partitions are dominated by them.
 fn ifl_over_cells(
     original: &GridDataset,
     partition: &Partition,
@@ -329,8 +247,8 @@ fn ifl_over_cells(
 /// Each cell's `p` terms are first folded into a per-cell subtotal, and the
 /// subtotals are then added to the chunk partial in ascending cell order.
 /// This two-level grouping is the canonical association of the Eq. 3 sum:
-/// the localized path caches exactly these per-cell subtotals and re-folds
-/// them in the same order, so both sides produce identical bits.
+/// the driver caches exactly these per-cell subtotals and re-folds them in
+/// the same order ([`fold_cell_terms`]), so both produce identical bits.
 fn chunk_sum<const P: usize>(
     partition: &Partition,
     reps: &[f64],
@@ -410,9 +328,10 @@ fn chunk_sum_mode(
 
 /// The per-cell Eq. 3 subtotal at cell-list position `pos` against a
 /// representative row: the cell's `p` terms added in ascending attribute
-/// order. This is the exact inner loop of the batch kernels (including the
-/// monomorphized variants — same expression per attribute, same add order),
-/// so a cached subtotal can replace a live evaluation bit for bit.
+/// order. This is the exact inner loop of the [`partition_ifl_with`]
+/// kernels (including the monomorphized variants — same expression per
+/// attribute, same add order), so a cached subtotal can replace a live
+/// evaluation bit for bit.
 ///
 /// When `has_mode` is false `aggs` is never read and may be empty.
 #[inline]
@@ -449,8 +368,8 @@ pub(crate) fn cell_term_at(
 /// fixed-grain chunking and chunk-order partial fold as [`ifl_over_cells`].
 ///
 /// Adding a `+0.0` subtotal to a non-negative partial is a bitwise no-op,
-/// so the result is identical to the batch kernel, which skips those cells
-/// outright.
+/// so the result is identical to [`partition_ifl_with`], which skips those
+/// cells outright.
 pub(crate) fn fold_cell_terms(terms: &[f64], term_count: usize, pool: &sr_par::Pool) -> f64 {
     let partials =
         pool.par_map_chunks(terms.len(), sr_par::fixed_grain(terms.len(), 64), |range| {

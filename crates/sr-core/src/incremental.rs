@@ -6,9 +6,9 @@
 //! the sorted distinct variation thresholds, the valid-cell list, and the
 //! Eq. 3 per-cell term cache. All four are *local* functions of cell values
 //! (an edge depends on two cells; a term row on one), so after a batch of
-//! cell updates they can be patched in place instead of recomputed — the
-//! extraction walk itself cannot be localized (the greedy scan of
-//! Algorithm 1 cascades globally), but it is cheap next to the scans.
+//! cell updates they can be patched in place instead of recomputed. (The
+//! threshold walk over them is localized separately, by
+//! [`crate::localized`].)
 //!
 //! [`ScanCache`] holds these four inputs and keeps them **bit-identical**
 //! to what a from-scratch run would compute on the updated grid:
@@ -37,9 +37,10 @@
 //!   [`ScanCache::build`] computes for that structure, so correctness never
 //!   depends on the guards being precise — only speed does.
 //!
-//! [`Repartitioner::run_with_scan`] then feeds the cache into the shared
-//! threshold walk ([`Repartitioner`]'s `run_prepared`), which is the same
-//! code path the batch run takes after its scans — equal inputs, equal
+//! Every driver entry point walks thresholds over a `ScanCache`: a batch
+//! [`Repartitioner::run`] builds one from scratch, while
+//! [`Repartitioner::run_with_scan`] and the localized run take a maintained
+//! one. From there the walk is the same code — equal inputs, equal
 //! partition bits.
 //!
 //! [`Repartitioner`]: crate::repartition::Repartitioner
@@ -102,7 +103,18 @@ impl ScanCache {
 
     /// [`ScanCache::build`] on an explicit pool.
     pub fn build_with(grid: &GridDataset, opts: IflOptions, pool: &sr_par::Pool) -> Self {
-        let (edges, raw) = rebuild_edges(grid, pool);
+        Self::from_normalized(grid, &normalize_attributes(grid), opts, pool)
+    }
+
+    /// [`ScanCache::build_with`] over an already attribute-normalized copy
+    /// of `grid` — the driver normalizes under its own span first.
+    pub(crate) fn from_normalized(
+        grid: &GridDataset,
+        normalized: &GridDataset,
+        opts: IflOptions,
+        pool: &sr_par::Pool,
+    ) -> Self {
+        let (edges, raw) = edges_and_multiset(normalized, pool);
         let cells: Vec<CellId> = grid.valid_cells().collect();
         let ifl_cache = IflCellCache::build(grid, &cells, opts);
         ScanCache {
@@ -163,7 +175,7 @@ impl ScanCache {
         let mut recomputed = 0usize;
         if denominators_moved {
             self.max_abs = max_abs;
-            let (edges, raw) = rebuild_edges(grid, pool);
+            let (edges, raw) = edges_and_multiset(&normalize_attributes(grid), pool);
             self.edges = edges;
             self.raw = raw;
         } else {
@@ -339,12 +351,12 @@ impl ScanCache {
     }
 }
 
-/// Recomputes the full edge array and the sorted finite-variation multiset
-/// from scratch — exactly what [`ScanCache::build_with`] computes, shared
-/// with the denominator-move path of [`ScanCache::update_with`].
-fn rebuild_edges(grid: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariations, Vec<f64>) {
-    let normalized = normalize_attributes(grid);
-    let edges = EdgeVariations::build_with(&normalized, pool);
+/// Computes the full edge array and the sorted finite-variation multiset
+/// of a normalized grid from scratch — exactly what
+/// [`ScanCache::build_with`] computes, shared with the denominator-move
+/// path of [`ScanCache::update_with`].
+fn edges_and_multiset(normalized: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariations, Vec<f64>) {
+    let edges = EdgeVariations::build_with(normalized, pool);
     let mut raw: Vec<f64> =
         edges.h.iter().chain(edges.v.iter()).copied().filter(|v| v.is_finite()).collect();
     raw.sort_unstable_by_key(|&v| sort_key(v));

@@ -52,10 +52,7 @@ pub use extractor::{
 pub use group_adjacency::{group_adjacency, group_adjacency_with};
 pub use heap::VariationHeap;
 pub use homogeneous::{homogeneous_ifl, homogeneous_merge, run_homogeneous, HomogeneousOutcome};
-pub use ifl::{
-    partition_ifl, partition_ifl_groups, partition_ifl_groups_with, partition_ifl_with,
-    representative,
-};
+pub use ifl::{partition_ifl, partition_ifl_with, representative};
 pub use incremental::{ScanCache, ScanUpdate};
 pub use localized::LocalizedState;
 pub use partition::{GroupId, GroupRect, Partition};
@@ -75,6 +72,14 @@ pub enum CoreError {
     /// The loss threshold must lie in (0, 1] (paper §I: "a numerical loss
     /// threshold between 0 and 1").
     InvalidThreshold(f64),
+    /// An [`IterationStrategy::Exponential`] walk needs a stride ≥ 1 and a
+    /// finite growth factor > 1.
+    InvalidStrategy {
+        /// Offending first stride.
+        initial_stride: usize,
+        /// Offending growth factor.
+        growth: f64,
+    },
     /// A grid-level operation failed.
     Grid(sr_grid::GridError),
     /// The homogeneous variant needs merge factors ≥ 1 that fit the grid.
@@ -94,6 +99,11 @@ impl std::fmt::Display for CoreError {
             CoreError::InvalidThreshold(t) => {
                 write!(f, "IFL threshold must be in (0, 1], got {t}")
             }
+            CoreError::InvalidStrategy { initial_stride, growth } => write!(
+                f,
+                "exponential strategy needs initial_stride >= 1 and a finite growth > 1, \
+                 got initial_stride {initial_stride}, growth {growth}"
+            ),
             CoreError::Grid(e) => write!(f, "grid error: {e}"),
             CoreError::InvalidMergeFactor { factor } => {
                 write!(f, "merge factor {factor} is invalid for this grid")

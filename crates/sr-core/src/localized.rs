@@ -1,30 +1,37 @@
-//! Localized incremental re-partitioning: make the exact threshold walk
-//! cost proportional to the *dirty region* instead of the grid, while
-//! staying bit-identical to the batch driver.
+//! The driver's threshold walk, with optional state carried between runs
+//! so an exact re-partition costs in proportion to the *dirty region*
+//! instead of the grid.
 //!
-//! Three cooperating mechanisms (docs/INGESTION.md, "The localized walk"):
+//! Every entry point evaluates thresholds here (`Repartitioner::walk_scan`).
+//! A one-shot run ([`Repartitioner::run`], [`Repartitioner::run_with_scan`])
+//! walks from a fresh state and records no extraction traces, since it has
+//! no next run. [`Repartitioner::run_localized`] carries a
+//! [`LocalizedState`] between runs, and three mechanisms make its walk
+//! local (docs/INGESTION.md, "The localized walk"):
 //!
 //! 1. **Extraction replay.** Every evaluated threshold records a
 //!    `ThetaTrace`: the emitted rectangles plus, per rectangle, the probe
-//!    footprint (`RectProbe::reach` / `RectProbe::run_width`) that
-//!    bounds every edge the anchored scan compared. On the next run, a row
-//!    whose traced footprints contain no dirty cell — and whose incoming
-//!    spill profile matches the previous run's — is copied wholesale; only
-//!    rows near dirt are re-scanned with the shared
-//!    `probe_anchored_rect` kernel. Identical probe reads force identical
-//!    rectangles, so the replayed tiling equals a from-scratch extraction
-//!    bit for bit.
+//!    footprint (deepest row visited, anchor-run width) that bounds every
+//!    edge the anchored scan compared. On the next run, a row whose traced
+//!    footprints contain no dirty cell — and whose incoming spill profile
+//!    matches the previous run's — is copied wholesale; only rows near dirt
+//!    are re-scanned with Algorithm 1's row cursor
+//!    ([`crate::extractor`]'s `scan_row`). Identical probe reads force
+//!    identical rectangles, so the replayed tiling equals a from-scratch
+//!    extraction bit for bit.
 //! 2. **Group-state reuse.** Per-group features, representatives, and the
 //!    Eq. 3 per-member subtotals are cached keyed by the group's rectangle
 //!    (the "content fingerprint": under a fixed grid, a rectangle *is* its
 //!    member set). An entry stays valid while no dirty cell lies inside the
 //!    rectangle; the IFL then re-folds the cached subtotals in canonical
-//!    cell order (`fold_cell_terms`), which the batch kernel's two-level
-//!    grouping makes bit-identical to a live evaluation.
+//!    cell order (`fold_cell_terms`), which the Eq. 3 kernel's two-level
+//!    grouping makes bit-identical to a live evaluation. Within one walk
+//!    (one-shot runs included) the cache also serves every threshold after
+//!    the first.
 //! 3. **Warm-started θ search.** The walk starts from the previously
 //!    accepted variation and expands outward
-//!    ([`Repartitioner::run_with_pool_warm`] runs the same hinted walk on
-//!    the batch path, making it the bit-exact reference). A hint below
+//!    ([`Repartitioner::run_with_pool_warm`] runs the same hinted walk from
+//!    a fresh state, making it the bit-exact reference). A hint below
 //!    every current threshold misses and falls back to the full walk.
 //!
 //! Fallback conditions (all safe, never wrong — just slower): first run or
@@ -36,10 +43,10 @@
 //! against the dirty region).
 
 use crate::allocator::{allocate_features_with, allocate_rect_into, GroupFeatures, Scratch};
-use crate::extractor::{probe_anchored_rect, EdgeVariations, RectProbe, VARIATION_SLACK};
+use crate::extractor::{scan_row, EdgeVariations, VARIATION_SLACK};
 use crate::ifl::{cell_term_at, fold_cell_terms, representative, IflCellCache};
 use crate::incremental::ScanCache;
-use crate::partition::{GroupId, GroupRect, Partition};
+use crate::partition::{GroupRect, Partition};
 use crate::repartition::{
     IterationStats, RepartitionOutcome, Repartitioned, Repartitioner, WalkKind,
 };
@@ -68,7 +75,7 @@ struct ThetaTrace {
     /// Run that recorded the trace (only traces exactly one run old are
     /// replayed — the dirty set describes exactly one generation of edits).
     epoch: u64,
-    /// Emitted rectangles in the batch extractor's scan order.
+    /// Emitted rectangles in Algorithm 1's scan order.
     rects: Vec<GroupRect>,
     /// Per rectangle: deepest row its probe visited (`RectProbe::reach`).
     reach: Vec<u32>,
@@ -88,12 +95,23 @@ struct RectEntry {
     epoch: u64,
     /// Valid members of the group (0 = null group).
     valid_count: u32,
-    /// The allocated feature vector (`p` values; zeros for a null group).
-    features: Box<[f64]>,
-    /// One Eq. 3 subtotal per valid member, in row-major member order.
-    /// All-zero when `valid_count == 1` (the batch kernel skips such
-    /// groups — their terms are exact zeros).
-    terms: Box<[f64]>,
+    /// The allocated feature vector (`p` values; zeros for a null group)
+    /// followed by one Eq. 3 subtotal per valid member, in row-major member
+    /// order. The subtotals are all zero when `valid_count == 1` (the Eq. 3
+    /// kernel skips such groups — their terms are exact zeros). One
+    /// allocation per entry: a one-shot walk over a 100k-cell grid caches
+    /// tens of thousands of groups.
+    data: Box<[f64]>,
+}
+
+impl RectEntry {
+    fn features(&self) -> &[f64] {
+        &self.data[..self.data.len() - self.valid_count as usize]
+    }
+
+    fn terms(&self) -> &[f64] {
+        &self.data[self.data.len() - self.valid_count as usize..]
+    }
 }
 
 /// Cross-run state of the localized path: extraction traces, the per-group
@@ -243,54 +261,13 @@ fn dirty_in_box(prefix: &[u32], cols: usize, r0: usize, r1: usize, c0: usize, c1
     prefix[r1 * w + c1] + prefix[r0 * w + c0] > prefix[r0 * w + c1] + prefix[r1 * w + c0]
 }
 
-/// Scans one row with the shared anchored-rectangle kernel, appending the
-/// emitted rectangles and footprints and advancing the spill profile.
-/// Together with the profile-based assignment predicate this reproduces the
-/// batch extractor's cursor exactly: the cursor skips spilled-over cells,
-/// probes at each anchor, and jumps past the emitted width.
-#[allow(clippy::too_many_arguments)]
-fn scan_row(
-    edges: &EdgeVariations,
-    accept: f64,
-    r: usize,
-    cols: usize,
-    bot: &mut [u32],
-    rects: &mut Vec<GroupRect>,
-    reach: &mut Vec<u32>,
-    run_width: &mut Vec<u32>,
-) {
-    let mut c = 0usize;
-    while c < cols {
-        if bot[c] as usize > r {
-            c += 1;
-            continue;
-        }
-        let probe: RectProbe =
-            probe_anchored_rect(edges, accept, r, c, |rr, cc| rr < bot[cc] as usize);
-        let (h, w) = (probe.height, probe.width);
-        rects.push(GroupRect {
-            r0: r as u32,
-            r1: (r + h - 1) as u32,
-            c0: c as u32,
-            c1: (c + w - 1) as u32,
-        });
-        reach.push(probe.reach as u32);
-        run_width.push(probe.run_width as u32);
-        for col in &mut bot[c..c + w] {
-            *col = (r + h) as u32;
-        }
-        c += w;
-    }
-}
-
 /// From-scratch trace extraction: every row scanned, every probe recorded.
-/// Emits the same rectangles in the same order as the batch
-/// `extract_with_edges_into` (the cursor and probe are the same code).
+/// Emits the same rectangles in the same order as the public
+/// [`crate::extractor::extract_with_edges`] (the cursor is the same code).
 fn extract_full_trace(
     edges: &EdgeVariations,
     accept: f64,
     rows: usize,
-    cols: usize,
     rs: &mut ReplayScratch,
     epoch: u64,
 ) -> ThetaTrace {
@@ -301,7 +278,7 @@ fn extract_full_trace(
     let mut row_start = Vec::with_capacity(rows + 1);
     row_start.push(0u32);
     for r in 0..rows {
-        scan_row(edges, accept, r, cols, &mut rs.bot_new, &mut rects, &mut reach, &mut run_width);
+        scan_row(edges, accept, r, &mut rs.bot_new, &mut rects, &mut reach, &mut run_width);
         row_start.push(rects.len() as u32);
     }
     ThetaTrace { epoch, rects, reach, run_width, row_start }
@@ -378,16 +355,7 @@ fn replay_trace(
             }
         } else {
             let start = rects.len();
-            scan_row(
-                edges,
-                accept,
-                r,
-                cols,
-                &mut rs.bot_new,
-                &mut rects,
-                &mut reach,
-                &mut run_width,
-            );
+            scan_row(edges, accept, r, &mut rs.bot_new, &mut rects, &mut reach, &mut run_width);
             for gi in og.clone() {
                 let rect = old.rects[gi];
                 for c in rect.c0 as usize..=rect.c1 as usize {
@@ -418,7 +386,8 @@ fn replay_trace(
 /// Builds the cached state of one multi-cell group: allocated features,
 /// representatives, and the Eq. 3 per-member subtotals — the same
 /// `allocate_rect_into` / [`representative`] / [`cell_term_at`] pipeline
-/// the batch evaluation runs, so every stored number matches its bits.
+/// the whole-partition kernels (`GroupFeatures::allocate_with`,
+/// `partition_ifl_with`) run, so every stored number matches their bits.
 #[allow(clippy::too_many_arguments)]
 fn build_rect_entry(
     grid: &GridDataset,
@@ -435,7 +404,8 @@ fn build_rect_entry(
 ) -> RectEntry {
     feat_tmp.clear();
     let count = allocate_rect_into(grid, rect, scratch, feat_tmp);
-    let mut terms = Vec::with_capacity(count);
+    let mut data = Vec::with_capacity(p + count);
+    data.extend_from_slice(feat_tmp);
     if count > 1 {
         // Stash the representative row behind the features in the same
         // buffer (indices p..2p).
@@ -448,7 +418,7 @@ fn build_rect_entry(
             for cc in rect.c0 as usize..=rect.c1 as usize {
                 let pos = pos_of[base + cc];
                 if pos != u32::MAX {
-                    terms.push(cell_term_at(
+                    data.push(cell_term_at(
                         cache,
                         pos as usize,
                         &feat_tmp[p..2 * p],
@@ -459,18 +429,12 @@ fn build_rect_entry(
                 }
             }
         }
-        feat_tmp.truncate(p);
     } else {
-        // 0 or 1 valid member: the batch kernel contributes nothing for
+        // 0 or 1 valid member: the Eq. 3 kernel contributes nothing for
         // these groups (single-member terms are exact zeros).
-        terms.resize(count, 0.0);
+        data.resize(p + count, 0.0);
     }
-    RectEntry {
-        epoch,
-        valid_count: count as u32,
-        features: feat_tmp.as_slice().into(),
-        terms: terms.into_boxed_slice(),
-    }
+    RectEntry { epoch, valid_count: count as u32, data: data.into_boxed_slice() }
 }
 
 /// Scores one extracted tiling: per-group subtotals — cached where the
@@ -610,18 +574,19 @@ fn scatter_entry(
     rect: GroupRect,
     entry: &RectEntry,
 ) {
+    let src = entry.terms();
     let mut j = 0usize;
     for rr in rect.r0 as usize..=rect.r1 as usize {
         let base = rr * cols;
         for cc in rect.c0 as usize..=rect.c1 as usize {
             let pos = pos_of[base + cc];
             if pos != u32::MAX {
-                terms[pos as usize] = entry.terms[j];
+                terms[pos as usize] = src[j];
                 j += 1;
             }
         }
     }
-    debug_assert_eq!(j, entry.valid_count as usize);
+    debug_assert_eq!(j, src.len());
 }
 
 /// Retains a freshly recorded trace, respecting the size caps: oversized
@@ -644,36 +609,25 @@ fn store_trace(traces: &mut HashMap<u64, ThetaTrace>, key: u64, trace: ThetaTrac
     traces.insert(key, trace);
 }
 
-/// Materializes the winning tiling: the `cell_to_group` index from the
-/// rectangles (scan order = batch group-id order) and the feature arena
-/// from cached entries, falling back to a live allocation on a cache miss.
-#[allow(clippy::too_many_arguments)]
+/// Materializes the winning tiling: the partition from the rectangles
+/// (scan order = group-id order) and the feature arena from cached
+/// entries, falling back to a live allocation on a cache miss.
 fn materialize(
     grid: &GridDataset,
-    rows: usize,
-    cols: usize,
-    p: usize,
-    winner: &[GroupRect],
+    winner: Vec<GroupRect>,
     rect_cache: &HashMap<GroupRect, RectEntry>,
     epoch: u64,
     scratch: &mut Scratch,
 ) -> (Partition, GroupFeatures) {
-    let mut cell_to_group = vec![0 as GroupId; rows * cols];
-    for (g, &rect) in winner.iter().enumerate() {
-        for rr in rect.r0 as usize..=rect.r1 as usize {
-            let base = rr * cols;
-            cell_to_group[base + rect.c0 as usize..=base + rect.c1 as usize].fill(g as GroupId);
-        }
-    }
-    let partition = Partition::new(rows, cols, winner.to_vec(), cell_to_group);
+    let p = grid.num_attrs();
     let mut values = Vec::with_capacity(winner.len() * p);
     let mut counts = Vec::with_capacity(winner.len());
-    for &rect in winner {
+    for &rect in &winner {
         match rect_cache.get(&rect) {
             // Entries touched this run hold exactly what a live allocation
             // would produce for the current grid.
             Some(e) if e.epoch == epoch => {
-                values.extend_from_slice(&e.features);
+                values.extend_from_slice(e.features());
                 counts.push(e.valid_count);
             }
             _ => {
@@ -682,6 +636,7 @@ fn materialize(
             }
         }
     }
+    let partition = Partition::from_rects(grid.rows(), grid.cols(), winner);
     (partition, GroupFeatures::from_raw(p, values, counts))
 }
 
@@ -714,39 +669,85 @@ impl Repartitioner {
         if scan.ifl_options() != self.ifl_options() {
             return Err(CoreError::ScanCacheMismatch);
         }
-        let (rows, cols) = (grid.rows(), grid.cols());
         let n = grid.num_cells();
-        if state.rows != rows || state.cols != cols {
+        if state.rows != grid.rows() || state.cols != grid.cols() {
             *state = LocalizedState::new();
-            state.rows = rows;
-            state.cols = cols;
+            state.rows = grid.rows();
+            state.cols = grid.cols();
         }
-        state.epoch += 1;
-        let epoch = state.epoch;
-
-        let metrics = sr_obs::Registry::global();
-        metrics.counter("repartition.runs_total").inc();
-        let mut run_span = sr_obs::span("repartition.run");
-        run_span.record("cells", n);
-        run_span.record("threshold", self.threshold());
+        let mut run_span = self.run_span(grid);
         run_span.record("incremental", 1usize);
         run_span.record("localized", 1usize);
         run_span.record("dirty_cells", dirty.len());
 
+        let mut thresholds = std::mem::take(&mut state.thresholds_buf);
         {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
-            scan.sorted_distinct_thresholds_into(&mut state.thresholds_buf);
-            scan_span.record("distinct_variations", state.thresholds_buf.len());
+            scan.sorted_distinct_thresholds_into(&mut thresholds);
+            scan_span.record("distinct_variations", thresholds.len());
         }
+        let cold = state.walks_cold(dirty.len(), n);
+        let warm_hint = state.planned_hint(dirty.len(), n);
+        let (outcome, walk, reused) =
+            self.walk_scan(grid, scan, &thresholds, warm_hint, Some((state, dirty)), pool);
+        state.thresholds_buf = thresholds;
+
+        // End-of-run bookkeeping: the hint moves to this run's winner, and
+        // anything not touched this run is evicted — which both bounds
+        // memory and keeps every retained item exactly one dirt-generation
+        // old, the precondition of the cross-run validity checks in
+        // `replay_trace` and `score_trace`.
+        let accepted = outcome.iterations.iter().any(|it| it.accepted);
+        state.hint = accepted.then(|| outcome.repartitioned.min_adjacent_variation());
+        state.ready = true;
+        state.last_fallback = cold || walk == WalkKind::WarmMiss;
+        state.last_reused = reused;
+        let epoch = state.epoch;
+        state.traces.retain(|_, t| t.epoch == epoch);
+        state.rect_cache.retain(|_, e| e.epoch == epoch);
+
+        run_span.record("groups", outcome.repartitioned.num_groups());
+        run_span.record("ifl", outcome.repartitioned.ifl());
+        run_span.record("reused_groups", reused as usize);
+        run_span.record("thresholds_walked", outcome.iterations.len());
+        Ok(outcome)
+    }
+
+    /// The threshold walk of every driver entry point (§III-A, Fig. 2):
+    /// per probed θ, extract the tiling (Algorithm 1), score it (Algorithm
+    /// 2 + Eq. 3), and accept or stop; then materialize the coarsest
+    /// accepted tiling, or the identity partition when nothing was
+    /// accepted. Emits `repartition.merge_loop` with one
+    /// `repartition.extract` / `repartition.score` pair per evaluation.
+    ///
+    /// `carried` is the cross-run state of a localized caller with the
+    /// cells dirtied since its previous run; its traces are replayed
+    /// against that dirt and new ones recorded. A one-shot run passes
+    /// `None`: it walks from a fresh state, and since it has no next run it
+    /// records no extraction traces. Returns the outcome, the walk order
+    /// taken, and the number of groups served from the rectangle cache.
+    pub(crate) fn walk_scan(
+        &self,
+        grid: &GridDataset,
+        scan: &ScanCache,
+        thresholds: &[f64],
+        warm_hint: Option<f64>,
+        carried: Option<(&mut LocalizedState, &[CellId])>,
+        pool: &sr_par::Pool,
+    ) -> (RepartitionOutcome, WalkKind, u64) {
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let n = grid.num_cells();
+        let keep_traces = carried.is_some();
+        let mut fresh = LocalizedState::new();
+        let (state, dirty) = carried.unwrap_or((&mut fresh, &[]));
+        state.epoch += 1;
+        let epoch = state.epoch;
         let edges = scan.edges();
         let cells = scan.cells();
         let ifl_cache = scan.ifl_cache();
 
-        let cold = state.walks_cold(dirty.len(), n);
-        let warm_hint = state.planned_hint(dirty.len(), n);
-
         // Run-scoped derived inputs and scratch, all held in the state so
-        // steady-state runs allocate nothing grid-sized.
+        // steady-state localized runs allocate nothing grid-sized.
         build_dirty_prefix(rows, cols, dirty, &mut state.prefix_buf);
         let stamp = (scan.cells_generation(), cells.len());
         if state.pos_of.len() != n || state.pos_of_stamp != Some(stamp) {
@@ -767,6 +768,7 @@ impl Repartitioner {
         let mut scratch = Scratch::new(p);
         let mut feat_tmp: Vec<f64> = Vec::new();
 
+        let metrics = sr_obs::Registry::global();
         let iterations_total = metrics.counter("repartition.iterations_total");
         let rejections_total = metrics.counter("repartition.rejections_total");
         let mut iterations: Vec<IterationStats> = Vec::new();
@@ -778,7 +780,6 @@ impl Repartitioner {
         let walk = {
             let traces = &mut state.traces;
             let rect_cache = &mut state.rect_cache;
-            let thresholds = &state.thresholds_buf;
             let prefix = &state.prefix_buf;
             let pos_of = &state.pos_of;
             let terms = &mut state.terms;
@@ -806,7 +807,7 @@ impl Repartitioner {
                         path = 1;
                         replay_trace(edges, accept, rows, cols, t, prefix, rs, epoch)
                     }
-                    _ => extract_full_trace(edges, accept, rows, cols, rs, epoch),
+                    _ => extract_full_trace(edges, accept, rows, rs, epoch),
                 };
                 let num_groups = trace.rects.len();
                 ex_span.record("path", path);
@@ -847,7 +848,9 @@ impl Repartitioner {
                     winner_rects.clear();
                     winner_rects.extend_from_slice(&trace.rects);
                 }
-                store_trace(traces, key, trace);
+                if keep_traces {
+                    store_trace(traces, key, trace);
+                }
                 IterationStats { min_adjacent_variation: theta, num_groups, ifl, accepted }
             };
 
@@ -860,18 +863,12 @@ impl Repartitioner {
 
         let repartitioned = match best {
             Some((theta, ifl, _)) => {
-                let (partition, features) = materialize(
-                    grid,
-                    rows,
-                    cols,
-                    p,
-                    &winner_rects,
-                    &state.rect_cache,
-                    epoch,
-                    &mut scratch,
-                );
+                let (partition, features) =
+                    materialize(grid, winner_rects, &state.rect_cache, epoch, &mut scratch);
                 Repartitioned::from_parts(grid, partition, features.into_options(), ifl, theta)
             }
+            // Nothing accepted (or no adjacent pairs): the identity
+            // partition, whose IFL is exactly zero.
             None => {
                 let partition = Partition::identity(rows, cols);
                 let features = allocate_features_with(grid, &partition, pool);
@@ -881,24 +878,7 @@ impl Repartitioner {
         metrics
             .counter("repartition.cells_merged_total")
             .add((n - repartitioned.num_groups()) as u64);
-
-        // End-of-run bookkeeping: the hint moves to this run's winner, and
-        // anything not touched this run is evicted — which both bounds
-        // memory and keeps every retained item exactly one dirt-generation
-        // old, the precondition of the cross-run validity checks above.
-        state.hint = best.map(|(theta, ..)| theta);
-        state.ready = true;
-        state.last_fallback = cold || walk == WalkKind::WarmMiss;
-        state.last_reused = reused;
-        state.traces.retain(|_, t| t.epoch == epoch);
-        state.rect_cache.retain(|_, e| e.epoch == epoch);
-
-        run_span.record("groups", repartitioned.num_groups());
-        run_span.record("ifl", repartitioned.ifl());
-        run_span.record("reused_groups", reused as usize);
-        run_span.record("thresholds_walked", iterations.len());
-
-        Ok(RepartitionOutcome { repartitioned, iterations, input_cells: n })
+        (RepartitionOutcome { repartitioned, iterations, input_cells: n }, walk, reused)
     }
 }
 

@@ -126,18 +126,17 @@ impl Partition {
         Partition { rows, cols, groups, cell_to_group }
     }
 
-    /// An empty placeholder partition whose buffers a later extraction pass
-    /// refills via [`Partition::take_parts`].
-    pub(crate) fn empty() -> Self {
-        Partition { rows: 0, cols: 0, groups: Vec::new(), cell_to_group: Vec::new() }
-    }
-
-    /// Takes both index buffers out of this partition (leaving it empty) so
-    /// an extraction pass can refill them in place. The driver evaluates
-    /// dozens of thresholds per run; recycling the two grid-sized buffers
-    /// keeps their pages mapped across evaluations.
-    pub(crate) fn take_parts(&mut self) -> (Vec<GroupRect>, Vec<GroupId>) {
-        (std::mem::take(&mut self.groups), std::mem::take(&mut self.cell_to_group))
+    /// Builds a partition from a tiling given as rectangles in group-id
+    /// order, deriving the `cIndex` mapping from them.
+    pub(crate) fn from_rects(rows: usize, cols: usize, groups: Vec<GroupRect>) -> Self {
+        let mut cell_to_group = vec![0 as GroupId; rows * cols];
+        for (g, rect) in groups.iter().enumerate() {
+            for rr in rect.r0 as usize..=rect.r1 as usize {
+                let base = rr * cols;
+                cell_to_group[base + rect.c0 as usize..=base + rect.c1 as usize].fill(g as GroupId);
+            }
+        }
+        Partition::new(rows, cols, groups, cell_to_group)
     }
 
     /// The identity partition: every cell is its own group (the state before

@@ -13,12 +13,17 @@
 //! - [`IterationStrategy::Exponential`] — a strided walk with binary-search
 //!   backoff on first rejection, for 100k-cell benchmark runs where the
 //!   distinct-value count makes the faithful walk quadratic in practice.
+//!
+//! Every entry point runs one threshold walk, with one evaluation step (the
+//! walk in [`crate::localized`]). A batch run ([`Repartitioner::run`] and
+//! its pool/hint variants) builds a [`ScanCache`] and walks once from a
+//! fresh state; [`Repartitioner::run_with_scan`] does the same over a
+//! maintained cache; [`Repartitioner::run_localized`] carries its state
+//! across runs. A fresh-state run with the same hint is the bit-exact
+//! reference for the carried-state one.
 
-use crate::allocator::{allocate_features_with, GroupFeatures};
-use crate::extractor::{extract_with_edges_into, EdgeVariations};
 use crate::group_adjacency::group_adjacency;
-use crate::heap::VariationHeap;
-use crate::ifl::{ifl_groups_over_cells, IflCellCache};
+use crate::incremental::ScanCache;
 use crate::partition::{GroupId, Partition};
 use crate::reconstruct::reconstruct_grid;
 use crate::{CoreError, Result};
@@ -38,7 +43,7 @@ pub enum IterationStrategy {
     Exponential {
         /// First stride through the sorted distinct variations (≥ 1).
         initial_stride: usize,
-        /// Stride growth factor (> 1.0).
+        /// Stride growth factor (finite, > 1.0).
         growth: f64,
     },
 }
@@ -241,8 +246,9 @@ impl Repartitioner {
             return Err(CoreError::InvalidThreshold(config.threshold));
         }
         if let IterationStrategy::Exponential { initial_stride, growth } = config.strategy {
-            if initial_stride == 0 || growth <= 1.0 {
-                return Err(CoreError::InvalidThreshold(growth));
+            // `!(growth > 1.0)` also rejects NaN.
+            if initial_stride == 0 || !(growth > 1.0 && growth.is_finite()) {
+                return Err(CoreError::InvalidStrategy { initial_stride, growth });
             }
         }
         Ok(Repartitioner { config })
@@ -252,10 +258,11 @@ impl Repartitioner {
     ///
     /// Emits the documented telemetry (`docs/OBSERVABILITY.md`): a
     /// `repartition.run` span with `normalize` / `variation_scan` /
-    /// `merge_loop` children, plus `repartition.*_total` counters in the
-    /// global metrics registry.
+    /// `merge_loop` children (one `extract` / `score` pair per evaluated
+    /// threshold under the last), plus `repartition.*_total` counters in
+    /// the global metrics registry.
     ///
-    /// Parallel stages (variation scan, feature allocation, IFL) run on
+    /// Parallel stages (variation scan, group scoring, IFL fold) run on
     /// [`sr_par::Pool::global`]; the result is bit-identical at any thread
     /// count (see `docs/PERFORMANCE.md`).
     pub fn run(&self, grid: &GridDataset) -> Result<RepartitionOutcome> {
@@ -287,200 +294,74 @@ impl Repartitioner {
         pool: &sr_par::Pool,
         warm_hint: Option<f64>,
     ) -> Result<RepartitionOutcome> {
-        sr_obs::Registry::global().counter("repartition.runs_total").inc();
-
-        let mut run_span = sr_obs::span("repartition.run");
-        run_span.record("cells", grid.num_cells());
-        run_span.record("threshold", self.config.threshold);
-
+        let mut run_span = self.run_span(grid);
         let normalized = {
             let _span = sr_obs::span("repartition.normalize");
             normalize_attributes(grid)
         };
-        let thresholds = {
+        // The four partition-independent walk inputs (edge variations,
+        // sorted distinct thresholds, valid-cell list, Eq. 3 term cache),
+        // built once per run.
+        let (scan, thresholds) = {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
-            let thresholds =
-                VariationHeap::from_grid_with(&normalized, pool).into_sorted_distinct();
+            let scan = ScanCache::from_normalized(grid, &normalized, self.config.ifl_options, pool);
+            let thresholds = scan.sorted_distinct_thresholds();
             scan_span.record("distinct_variations", thresholds.len());
-            thresholds
+            (scan, thresholds)
         };
-        // Edge variations are threshold-independent: compute them once and
-        // reduce each extraction pass to comparisons against them. The
-        // valid-cell list and the Eq. 3 denominators/term count are
-        // likewise partition-independent.
-        let edges = EdgeVariations::build_with(&normalized, pool);
-        let cells: Vec<sr_grid::CellId> = grid.valid_cells().collect();
-        let ifl_cache = IflCellCache::build(grid, &cells, self.config.ifl_options);
-
-        let (repartitioned, iterations) =
-            self.run_prepared(grid, &edges, &thresholds, &cells, &ifl_cache, warm_hint, pool);
-        run_span.record("groups", repartitioned.num_groups());
-        run_span.record("ifl", repartitioned.ifl());
-
-        Ok(RepartitionOutcome { repartitioned, iterations, input_cells: grid.num_cells() })
+        // Only the scan inputs are read from here on; free the copy before
+        // the walk's own buffers grow.
+        drop(normalized);
+        let (outcome, ..) = self.walk_scan(grid, &scan, &thresholds, warm_hint, None, pool);
+        run_span.record("groups", outcome.repartitioned.num_groups());
+        run_span.record("ifl", outcome.repartitioned.ifl());
+        Ok(outcome)
     }
 
     /// [`Repartitioner::run`] against a pre-maintained [`ScanCache`] —
     /// the incremental entry point. The cache supplies exactly the four
     /// partition-independent inputs `run_with_pool` derives from scratch
     /// (edge variations, sorted distinct thresholds, valid-cell list, Eq. 3
-    /// term cache); from there the walk is the *same code path*, so equal
+    /// term cache); from there it is the same one-shot walk, so equal
     /// inputs force a bit-identical result. `grid` must be the dataset the
     /// cache has been kept in sync with.
-    ///
-    /// [`ScanCache`]: crate::incremental::ScanCache
     pub fn run_with_scan(
         &self,
         grid: &GridDataset,
-        scan: &crate::incremental::ScanCache,
+        scan: &ScanCache,
         pool: &sr_par::Pool,
     ) -> Result<RepartitionOutcome> {
         if scan.ifl_options() != self.config.ifl_options {
             return Err(CoreError::ScanCacheMismatch);
         }
-        sr_obs::Registry::global().counter("repartition.runs_total").inc();
-
-        let mut run_span = sr_obs::span("repartition.run");
-        run_span.record("cells", grid.num_cells());
-        run_span.record("threshold", self.config.threshold);
+        let mut run_span = self.run_span(grid);
         run_span.record("incremental", 1usize);
-
         let thresholds = {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
             let thresholds = scan.sorted_distinct_thresholds();
             scan_span.record("distinct_variations", thresholds.len());
             thresholds
         };
-
-        let (repartitioned, iterations) = self.run_prepared(
-            grid,
-            scan.edges(),
-            &thresholds,
-            scan.cells(),
-            scan.ifl_cache(),
-            None,
-            pool,
-        );
-        run_span.record("groups", repartitioned.num_groups());
-        run_span.record("ifl", repartitioned.ifl());
-
-        Ok(RepartitionOutcome { repartitioned, iterations, input_cells: grid.num_cells() })
+        let (outcome, ..) = self.walk_scan(grid, scan, &thresholds, None, None, pool);
+        run_span.record("groups", outcome.repartitioned.num_groups());
+        run_span.record("ifl", outcome.repartitioned.ifl());
+        Ok(outcome)
     }
 
-    /// The threshold walk shared by [`run_with_pool`] and [`run_with_scan`]:
-    /// evaluates extraction passes over pre-computed scan inputs, keeps the
-    /// best accepted candidate, and falls back to the identity partition.
-    /// Every float operation lives here or below, so any two callers that
-    /// agree on the inputs agree on the output bits.
-    ///
-    /// [`run_with_pool`]: Repartitioner::run_with_pool
-    /// [`run_with_scan`]: Repartitioner::run_with_scan
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_prepared(
-        &self,
-        grid: &GridDataset,
-        edges: &EdgeVariations,
-        thresholds: &[f64],
-        cells: &[sr_grid::CellId],
-        ifl_cache: &IflCellCache,
-        warm_hint: Option<f64>,
-        pool: &sr_par::Pool,
-    ) -> (Repartitioned, Vec<IterationStats>) {
-        let metrics = sr_obs::Registry::global();
-        let iterations_total = metrics.counter("repartition.iterations_total");
-        let rejections_total = metrics.counter("repartition.rejections_total");
-
-        let mut iterations = Vec::new();
-        // Best candidate kept in flat-arena form; the boxed per-group
-        // feature vectors are materialized only once, for the winner. The
-        // arena and representatives buffer are reused across iterations
-        // (swapped with `best` on acceptance) so their grid-sized pages are
-        // mapped once per run, not once per evaluation.
-        let mut best: Option<(Partition, GroupFeatures, f64, f64)> = None;
-        let mut features_buf = GroupFeatures::empty();
-        let mut partition_buf = Partition::empty();
-        let mut reps_buf: Vec<f64> = Vec::new();
-        let mut skip_buf: Vec<u64> = Vec::new();
-
-        {
-            // One extraction pass at the given variation; updates `best` on
-            // acceptance and returns the stats.
-            let mut evaluate = |theta: f64| -> IterationStats {
-                extract_with_edges_into(edges, theta, &mut partition_buf);
-                GroupFeatures::allocate_into(grid, &partition_buf, pool, &mut features_buf);
-                let ifl = ifl_groups_over_cells(
-                    grid,
-                    &partition_buf,
-                    &features_buf,
-                    cells,
-                    ifl_cache,
-                    &mut reps_buf,
-                    &mut skip_buf,
-                    pool,
-                );
-                let accepted = ifl <= self.config.threshold;
-                iterations_total.inc();
-                if !accepted {
-                    rejections_total.inc();
-                }
-                let num_groups = partition_buf.num_groups();
-                if accepted {
-                    let better = best.as_ref().is_none_or(|(b, ..)| num_groups <= b.num_groups());
-                    if better {
-                        match &mut best {
-                            Some((bp, bf, bifl, btheta)) => {
-                                // Swapping (not overwriting) keeps the evicted
-                                // candidate's buffers alive for the next pass.
-                                std::mem::swap(bp, &mut partition_buf);
-                                std::mem::swap(bf, &mut features_buf);
-                                *bifl = ifl;
-                                *btheta = theta;
-                            }
-                            None => {
-                                let partition =
-                                    std::mem::replace(&mut partition_buf, Partition::empty());
-                                let features =
-                                    std::mem::replace(&mut features_buf, GroupFeatures::empty());
-                                best = Some((partition, features, ifl, theta));
-                            }
-                        }
-                    }
-                }
-                IterationStats { min_adjacent_variation: theta, num_groups, ifl, accepted }
-            };
-
-            let mut merge_span = sr_obs::span("repartition.merge_loop");
-            self.drive_walk(thresholds, warm_hint, &mut iterations, &mut evaluate);
-            merge_span.record("iterations", iterations.len());
-            merge_span.record("rejections", iterations.iter().filter(|it| !it.accepted).count());
-        }
-
-        // Fallback: nothing accepted (or grid has no adjacent pairs) — the
-        // identity partition, whose IFL is exactly zero.
-        let repartitioned = match best {
-            Some((partition, features, ifl, theta)) => {
-                Repartitioned::from_parts(grid, partition, features.into_options(), ifl, theta)
-            }
-            None => {
-                let partition = Partition::identity(grid.rows(), grid.cols());
-                let features = allocate_features_with(grid, &partition, pool);
-                Repartitioned::from_parts(grid, partition, features, 0.0, 0.0)
-            }
-        };
-
-        metrics
-            .counter("repartition.cells_merged_total")
-            .add((grid.num_cells() - repartitioned.num_groups()) as u64);
-
-        (repartitioned, iterations)
+    /// Counts the run and opens its `repartition.run` span with the fields
+    /// every entry point records.
+    pub(crate) fn run_span(&self, grid: &GridDataset) -> sr_obs::Span {
+        sr_obs::Registry::global().counter("repartition.runs_total").inc();
+        let mut run_span = sr_obs::span("repartition.run");
+        run_span.record("cells", grid.num_cells());
+        run_span.record("threshold", self.config.threshold);
+        run_span
     }
 
     /// Walks the sorted distinct thresholds, dispatching one `evaluate`
-    /// call per probed index. All walk-order decisions live here: both the
-    /// batch driver ([`Repartitioner::run_prepared`]) and the localized
-    /// incremental path ([`crate::localized`]) drive their evaluations
-    /// through this method, so a shared `(thresholds, warm_hint)` pair
-    /// forces a bit-identical probe sequence.
+    /// call per probed index. All walk-order decisions live here, so a
+    /// shared `(thresholds, warm_hint)` pair forces a bit-identical probe
+    /// sequence on every entry point.
     ///
     /// With a hint under [`IterationStrategy::Exponential`], the warm walk
     /// is tried first and the full walk runs only when the warm window
@@ -507,8 +388,7 @@ impl Repartitioner {
     }
 
     /// The cold walk: the paper's every-distinct loop, or the strided walk
-    /// with binary-search backoff (moved verbatim from the old inline
-    /// `run_prepared` loop — the probe sequence is unchanged).
+    /// with binary-search backoff.
     fn walk_full(
         &self,
         thresholds: &[f64],
@@ -549,8 +429,10 @@ impl Repartitioner {
                     }
                     // Clamp to the final threshold so the coarsest candidate
                     // is always evaluated before the walk ends.
-                    idx = (idx + stride).min(thresholds.len() - 1);
-                    stride = ((stride as f64 * growth) as usize).max(stride + 1);
+                    // Saturating: a huge growth factor saturates the stride
+                    // at `usize::MAX` (the float-to-int cast saturates).
+                    idx = idx.saturating_add(stride).min(thresholds.len() - 1);
+                    stride = ((stride as f64 * growth) as usize).max(stride.saturating_add(1));
                 }
                 // Binary-search the skipped range for the coarsest accepted
                 // threshold (IFL is near-monotone in the variation).
@@ -739,6 +621,32 @@ mod tests {
         assert!(Repartitioner::new(1.5).is_err());
         assert!(Repartitioner::new(0.05).is_ok());
         assert!(Repartitioner::new(1.0).is_ok());
+    }
+
+    #[test]
+    fn strategy_validation() {
+        let with = |initial_stride, growth| {
+            let strategy = IterationStrategy::Exponential { initial_stride, growth };
+            Repartitioner::with_config(
+                RepartitionConfig::new(0.05).unwrap().with_strategy(strategy),
+            )
+        };
+        for growth in [f64::NAN, f64::INFINITY, 1.0, 0.5, -2.0] {
+            assert_eq!(
+                with(8, growth).unwrap_err().to_string(),
+                CoreError::InvalidStrategy { initial_stride: 8, growth }.to_string()
+            );
+        }
+        assert!(matches!(
+            with(0, 1.6),
+            Err(CoreError::InvalidStrategy { initial_stride: 0, growth }) if growth == 1.6
+        ));
+        // A huge finite growth is valid: the stride saturates instead of
+        // overflowing, and the walk still honours the threshold.
+        let g = smooth_grid(12, 12, 10);
+        let out = with(1, 1e300).unwrap().run(&g).unwrap();
+        assert!(out.repartitioned.ifl() <= 0.05);
+        assert!(out.iterations.len() >= 3 && out.iterations[1].accepted, "stride never stepped");
     }
 
     #[test]

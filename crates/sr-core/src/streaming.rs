@@ -98,36 +98,6 @@ impl StreamingRepartitioner {
         Ok(this)
     }
 
-    /// Builds the streaming state from an already-computed batch result
-    /// over `grid`, skipping the driver run [`StreamingRepartitioner::new`]
-    /// performs. The ingestion engine re-seeds its live tier this way after
-    /// each exact incremental re-partition — the fresh result is already in
-    /// hand, so re-deriving it would double the dominant cost.
-    pub fn from_repartitioned(
-        grid: GridDataset,
-        rep: &crate::repartition::Repartitioned,
-        threshold: f64,
-    ) -> Result<Self> {
-        if !(threshold > 0.0 && threshold <= 1.0) {
-            return Err(CoreError::InvalidThreshold(threshold));
-        }
-        let partition = rep.partition();
-        let mut this = StreamingRepartitioner {
-            threshold,
-            ifl_options: IflOptions::default(),
-            rects: partition.rects().to_vec(),
-            cell_to_group: partition.cell_to_group().to_vec(),
-            features: rep.features().to_vec(),
-            valid_counts: Vec::new(),
-            contributions: Vec::new(),
-            compacted_groups: 0,
-            grid,
-        };
-        this.rebuild_bookkeeping();
-        this.compacted_groups = this.num_groups();
-        Ok(this)
-    }
-
     /// Number of cell-groups currently live.
     pub fn num_groups(&self) -> usize {
         self.rects.len()

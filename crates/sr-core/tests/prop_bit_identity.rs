@@ -355,8 +355,10 @@ fn ref_allocate(grid: &GridDataset, partition: &Partition) -> Vec<Option<Vec<f64
 /// Reference Eq. 3: per-cell percentage-error terms against
 /// aggregation-aware representatives. Terms are formed exactly as the
 /// production kernel forms them (`|d − r| · (1/|d|)`, not a division) and
-/// summed in the same fixed-grain chunk order, because the contract is
-/// bit identity, not mathematical equality.
+/// summed with its association — each cell's terms into a per-cell
+/// subtotal in ascending attribute order, subtotals into the partial in
+/// the same fixed-grain chunk order — because the contract is bit
+/// identity, not mathematical equality.
 fn ref_ifl(
     grid: &GridDataset,
     partition: &Partition,
@@ -391,6 +393,7 @@ fn ref_ifl(
                 continue; // every term is an exact zero
             }
             let fv = features[g].as_ref().expect("valid cell in null group");
+            let mut cell = 0.0f64;
             for k in 0..p {
                 let d = grid.value(id, k);
                 let rep = match aggs[k] {
@@ -398,11 +401,12 @@ fn ref_ifl(
                     AggType::Avg | AggType::Mode => fv[k],
                 };
                 if aggs[k] == AggType::Mode {
-                    sum += if d == rep { 0.0 } else { 1.0 };
+                    cell += if d == rep { 0.0 } else { 1.0 };
                 } else if d.abs() > opts.zero_eps {
-                    sum += (d - rep).abs() * (1.0 / d.abs());
+                    cell += (d - rep).abs() * (1.0 / d.abs());
                 }
             }
+            sum += cell;
         }
         partials.push(sum);
     }
@@ -520,8 +524,9 @@ fn ifl_matches_naive_eq3_reference() {
 }
 
 /// The full driver: identical outcome bits at 1, 2, and 8 threads, under
-/// both iteration strategies, and the accepted iteration reproducible
-/// through the reference pipeline at the accepted threshold.
+/// both iteration strategies; every evaluated iteration's group count and
+/// IFL bits reproducible through the reference pipeline at its threshold
+/// (accepted or not), and the accepted result reproducible in full.
 #[test]
 fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
     let strategies = [
@@ -570,12 +575,26 @@ fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
                     assert_eq!(a.accepted, b.accepted, "{ctx}: iteration verdict");
                 }
             }
+            // Every evaluation the walk made — not only the winner — is
+            // exactly the reference pipeline at that threshold: the
+            // driver's incremental scoring must agree with a from-scratch
+            // Algorithm 1 → Algorithm 2 → Eq. 3 on the rejected and the
+            // superseded tilings too.
+            let norm = normalize_attributes(grid);
+            for (j, it) in base.iterations.iter().enumerate() {
+                let ctx = format!("grid {i}, {strategy:?}, iteration {j} reference replay");
+                let partition = ref_extract(&norm, it.min_adjacent_variation);
+                assert_eq!(it.num_groups, partition.num_groups(), "{ctx}: group count");
+                let features = ref_allocate(grid, &partition);
+                let ifl = ref_ifl(grid, &partition, &features, IflOptions::default());
+                assert_eq!(bits(it.ifl), bits(ifl), "{ctx}: ifl bits ({} vs {ifl})", it.ifl);
+                assert_eq!(it.accepted, ifl <= *theta, "{ctx}: verdict");
+            }
             // The accepted result is exactly what the reference pipeline
             // produces at the accepted threshold (skipped when the driver
             // fell back to the identity partition, whose θ=0 extraction
             // legitimately differs on grids with equal-valued neighbors).
             if base.iterations.iter().any(|it| it.accepted) {
-                let norm = normalize_attributes(grid);
                 let theta_star = base.repartitioned.min_adjacent_variation();
                 let partition = ref_extract(&norm, theta_star);
                 let ctx = format!("grid {i}, {strategy:?}, reference replay");

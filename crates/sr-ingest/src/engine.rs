@@ -1,19 +1,14 @@
 //! The ingestion engine: accumulate → collapse → patch scan inputs →
 //! re-partition incrementally → republish (`docs/INGESTION.md` §4–§6).
 //!
-//! Two maintenance tiers cooperate (the contract's "two-tier" rule):
-//!
 //! - **Per batch** ([`IngestEngine::apply_batch`]): points fold into the
-//!   [`CellAccumulators`], collapsed values land in the grid, the
-//!   [`ScanCache`] patches the driver's scan inputs over the dirty cells,
-//!   and the live [`StreamingRepartitioner`] tier absorbs the same cells
-//!   as split-on-write updates so its IFL budget keeps holding between
-//!   exact re-partitions.
-//! - **On demand** ([`IngestEngine::repartition`]): the driver re-runs its
-//!   threshold walk over the patched scan inputs
-//!   ([`Repartitioner::run_with_scan`]) — bit-identical to a from-scratch
-//!   run on the accumulated data — and the live tier is re-seeded from the
-//!   fresh result without a second driver run.
+//!   [`CellAccumulators`], collapsed values land in the grid, and the
+//!   [`ScanCache`] patches the driver's scan inputs over the dirty cells.
+//!   The dirty cells are remembered for the next re-partition.
+//! - **On demand** ([`IngestEngine::repartition`]): the driver runs its
+//!   localized threshold walk over the patched scan inputs
+//!   ([`Repartitioner::run_localized`]), at a cost that follows the dirty
+//!   region — bit-identical to a from-scratch run on the accumulated data.
 //!
 //! [`IngestEngine::publish`] then writes the accepted result as a v2
 //! snapshot through the same atomic temp-file + rename path the serving
@@ -29,7 +24,6 @@ use sr_core::localized::LocalizedState;
 use sr_core::repartition::{
     IterationStrategy, RepartitionConfig, RepartitionOutcome, Repartitioner,
 };
-use sr_core::streaming::{CellUpdate, StreamingRepartitioner};
 use sr_grid::{Bounds, CellId, GridDataset, IflOptions};
 use sr_serve::{save_snapshot_v2, snapshot_to_bytes_v2, Snapshot};
 use std::path::Path;
@@ -56,7 +50,8 @@ pub struct IngestConfig {
 
 impl IngestConfig {
     /// Defaults for an `rows × cols` grid at threshold θ: unit bounds and
-    /// the strided walk above 2000 cells (the streaming tier's cutover).
+    /// the strided walk above 2000 cells (the cutover `sr_core::streaming`
+    /// uses too).
     pub fn new(rows: usize, cols: usize, schema: IngestSchema, threshold: f64) -> Self {
         let strategy = if rows * cols > 2_000 {
             IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 }
@@ -105,16 +100,14 @@ pub struct IngestEngine {
     grid: GridDataset,
     accum: CellAccumulators,
     scan: ScanCache,
-    /// Localized-walk state of the exact tier: extraction traces, the
-    /// group rectangle cache, and the warm-start θ of the last run.
+    /// Localized-walk state: extraction traces, the group rectangle cache,
+    /// and the warm-start θ of the last run.
     localized: LocalizedState,
     /// Dirty-cell bits accumulated since the last exact re-partition (flat
     /// cell index); the localized run consumes and clears them.
     pending_dirty: Vec<bool>,
     /// Count of set bits in `pending_dirty`.
     pending_count: usize,
-    /// Live split-on-write tier, seeded by the last exact re-partition.
-    live: Option<StreamingRepartitioner>,
     /// Last accepted exact result plus the grid state it was computed on
     /// (the grid keeps mutating afterwards; publishing needs the pair).
     last: Option<(RepartitionOutcome, GridDataset)>,
@@ -151,7 +144,6 @@ impl IngestEngine {
             localized: LocalizedState::new(),
             pending_dirty,
             pending_count: 0,
-            live: None,
             last: None,
             batches: 0,
             total_points: 0,
@@ -160,7 +152,7 @@ impl IngestEngine {
 
     /// Ingests one chunk: folds its points into the accumulators, writes
     /// the dirty cells' collapsed values into the grid, patches the scan
-    /// cache, and forwards the dirty cells to the live tier (if seeded).
+    /// cache, and marks the cells dirty for the next re-partition.
     ///
     /// Emits an `ingest.batch` span with an `ingest.bin` child and bumps
     /// `ingest.batches_total` / `ingest.points_total` /
@@ -192,16 +184,6 @@ impl IngestEngine {
             // rectangle cache inside survives (raw-value based).
             self.localized.invalidate();
         }
-        if let Some(live) = &mut self.live {
-            let updates: Vec<CellUpdate> = dirty
-                .iter()
-                .map(|&cell| CellUpdate {
-                    cell,
-                    features: Some(self.grid.features_unchecked(cell)),
-                })
-                .collect();
-            live.apply(&updates).map_err(IngestError::Core)?;
-        }
         self.batches += 1;
         self.total_points += points as u64;
         let metrics = sr_obs::Registry::global();
@@ -218,13 +200,13 @@ impl IngestEngine {
     }
 
     /// Runs the exact incremental re-partition over the maintained scan
-    /// inputs and re-seeds the live tier from the result. The run is
-    /// *localized* ([`Repartitioner::run_localized`]): extraction replays
-    /// the previous run's traces outside the dirty region, unchanged
-    /// groups are served from the rectangle cache, and the threshold walk
-    /// warm-starts from the last accepted θ — still bit-identical to a
-    /// from-scratch driver run on the accumulated grid (the convergence
-    /// guarantee of `docs/INGESTION.md` §5, property-tested at the root).
+    /// inputs. The run is *localized* ([`Repartitioner::run_localized`]):
+    /// extraction replays the previous run's traces outside the dirty
+    /// region, unchanged groups are served from the rectangle cache, and
+    /// the threshold walk warm-starts from the last accepted θ — still
+    /// bit-identical to a from-scratch driver run on the accumulated grid
+    /// (the convergence guarantee of `docs/INGESTION.md` §5,
+    /// property-tested at the root).
     ///
     /// Emits an `ingest.repartition` span (the driver's `repartition.run`
     /// tree nests beneath it) and bumps `ingest.repartitions_total` and
@@ -249,14 +231,6 @@ impl IngestEngine {
             .map_err(IngestError::Core)?;
         self.pending_dirty.iter_mut().for_each(|d| *d = false);
         self.pending_count = 0;
-        self.live = Some(
-            StreamingRepartitioner::from_repartitioned(
-                self.grid.clone(),
-                &outcome.repartitioned,
-                self.config.threshold,
-            )
-            .map_err(IngestError::Core)?,
-        );
         span.record("groups", outcome.repartitioned.num_groups());
         span.record("ifl", outcome.repartitioned.ifl());
         span.record("dirty_cells", dirty.len());
@@ -319,13 +293,6 @@ impl IngestEngine {
         &self.grid
     }
 
-    /// The live split-on-write tier (`None` until the first
-    /// [`IngestEngine::repartition`]). Its IFL stays within θ between
-    /// exact re-partitions.
-    pub fn live(&self) -> Option<&StreamingRepartitioner> {
-        self.live.as_ref()
-    }
-
     /// The last exact re-partition outcome.
     pub fn last_outcome(&self) -> Option<&RepartitionOutcome> {
         self.last.as_ref().map(|(o, _)| o)
@@ -347,7 +314,7 @@ impl IngestEngine {
         self.pending_count
     }
 
-    /// The localized-walk state of the exact tier (fallback / reuse
+    /// The localized-walk state (fallback / reuse
     /// telemetry of the last run).
     pub fn localized(&self) -> &LocalizedState {
         &self.localized
@@ -398,24 +365,6 @@ mod tests {
         assert_eq!(e.grid().value(0, 1), 2.0); // count
         let outcome = e.repartition().unwrap();
         assert!(outcome.repartitioned.ifl() <= 0.1);
-        assert!(e.live().is_some());
-    }
-
-    #[test]
-    fn live_tier_tracks_batches_between_repartitions() {
-        let mut e = engine(6, 6);
-        let pts: Vec<(f64, f64, f64)> = (0..36)
-            .map(|i| {
-                let (r, c) = (i / 6, i % 6);
-                ((c as f64 + 0.5) / 6.0, (r as f64 + 0.5) / 6.0, 100.0 + i as f64 * 0.1)
-            })
-            .collect();
-        e.apply_batch(&chunk(&pts)).unwrap();
-        e.repartition().unwrap();
-        e.apply_batch(&chunk(&[(0.1, 0.1, 150.0)])).unwrap();
-        let live = e.live().unwrap();
-        assert!(live.ifl() <= live.threshold());
-        assert_eq!(live.grid().value(0, 0), e.grid().value(0, 0));
     }
 
     #[test]
