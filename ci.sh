@@ -63,10 +63,12 @@ echo "==> ingest convergence (SR_THREADS=4)"
 SR_THREADS=4 cargo test -q --offline --test ingest_convergence
 
 # The snapshot-format compat suite (crates/sr-serve/tests/prop_v2.rs):
-# v1 and v2 files answer every query bit-identically, v1 -> v2 -> v1
-# migration is byte-identical, and truncating anywhere / flipping any
-# byte of a v2 file is rejected (docs/SNAPSHOT_FORMAT.md). Runs inside
-# the workspace passes too; pinned here at both thread counts.
+# v1 files are transcoded at load and one borrowed form serves every
+# query; engines loaded from v1 and v2 files answer bit-identically and
+# equal the §III-C reconstruction, v1 -> v2 -> v1 migration is
+# byte-identical, and truncating anywhere / flipping any byte of a v2
+# file is rejected (docs/SNAPSHOT_FORMAT.md). Runs inside the workspace
+# passes too; pinned here at both thread counts.
 echo "==> snapshot v1/v2 compat (SR_THREADS=1)"
 SR_THREADS=1 cargo test -q --offline -p sr-serve --test prop_v2
 

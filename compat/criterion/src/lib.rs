@@ -13,7 +13,9 @@
 //! median sample. No plots, no statistical regression — but results are
 //! recorded in the [`Criterion`] instance and can be dumped with
 //! [`Criterion::export_json`], which the workspace's harnesses use to write
-//! `BENCH_*.json` artifacts.
+//! `BENCH_*.json` artifacts. Every exported row carries a machine
+//! fingerprint (`nproc`, the CPU model, `rustc`) so numbers from
+//! different boxes are never compared blind.
 //!
 //! Setting `SR_BENCH_SMOKE=1` switches every bench to smoke mode: each
 //! closure runs exactly once with no warm-up or calibration, and
@@ -208,18 +210,20 @@ impl Criterion {
         &self.results
     }
 
-    /// Writes the collected results as a JSON array to `path`. A no-op in
-    /// smoke mode: one-shot timings would overwrite real measurements.
+    /// Writes the collected results as a JSON array to `path`, each row
+    /// tagged with the machine fingerprint. A no-op in smoke mode:
+    /// one-shot timings would overwrite real measurements.
     pub fn export_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         if smoke_mode() {
             println!("smoke mode: skipping export to {}", path.as_ref().display());
             return Ok(());
         }
+        let machine = machine_json();
         let mut out = String::from("[\n");
         for (i, r) in self.results.iter().enumerate() {
             let _ = write!(
                 out,
-                "  {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters_per_sec\": {:.1}, \"iterations\": {}, \"samples\": {}}}",
+                "  {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters_per_sec\": {:.1}, \"iterations\": {}, \"samples\": {}, \"machine\": {machine}}}",
                 r.id.replace('"', "'"),
                 r.ns_per_iter,
                 1e9 / r.ns_per_iter,
@@ -297,6 +301,29 @@ impl BenchmarkGroup<'_> {
     pub fn finish(&mut self) {}
 }
 
+/// The machine fingerprint as a JSON object: `nproc` (available
+/// parallelism), `cpu` (the first `model name` in `/proc/cpuinfo`), and
+/// `rustc` (the compiler version, recorded by `build.rs`). Fields that
+/// cannot be read are `0` / `"unknown"`.
+fn machine_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let quote = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+    format!(
+        "{{\"nproc\": {nproc}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
+        quote(&cpu),
+        quote(env!("CRITERION_RUSTC"))
+    )
+}
+
 fn format_ns(ns: f64) -> String {
     if !ns.is_finite() {
         "n/a".to_string()
@@ -369,6 +396,8 @@ mod tests {
         c.export_json(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"id\": \"spin\""));
+        assert_eq!(text.matches("\"machine\": {\"nproc\": ").count(), 3, "{text}");
+        assert!(text.contains(&format!("\"rustc\": \"{}\"", env!("CRITERION_RUSTC"))));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,9 +1,14 @@
 //! Serving-path benchmarks on a paper-scale (≈36k-cell) snapshot:
 //! snapshot encode/decode for both `sr-snap` formats, query-engine
-//! construction (v1 owned build vs v2 validate-and-borrow), and the three
-//! online query kinds. Results are exported to `BENCH_serve.json` at the
-//! workspace root; `prior/`-prefixed rows keep the v1 startup numbers the
-//! v2 rows are compared against in `docs/PERFORMANCE.md`.
+//! construction, and the three online query kinds. There is one serving
+//! form — a validated v2 buffer served borrowed — so every engine row
+//! measures a way into it: `query_engine_build_36k` encodes an
+//! in-process snapshot and validates it, `engine_from_v1_bytes_36k` is
+//! the one-off cost of serving a v1 file (decode + transcode +
+//! validate), and `engine_build_v2_36k` wraps an already validated
+//! buffer. Results are exported to `BENCH_serve.json` at the workspace
+//! root; `prior/`-prefixed rows keep earlier numbers the current rows are
+//! compared against in `docs/PERFORMANCE.md`.
 //!
 //! Run: `cargo bench -p sr-bench --bench serve_queries`
 
@@ -11,8 +16,8 @@ use criterion::{black_box, Criterion};
 use sr_core::{IterationStrategy, RepartitionConfig, Repartitioner};
 use sr_datasets::{Dataset, GridSize};
 use sr_serve::{
-    snapshot_from_bytes, snapshot_to_bytes, snapshot_to_bytes_v2, snapshot_v2_from_bytes,
-    QueryEngine, Snapshot,
+    engine_from_bytes, snapshot_from_bytes, snapshot_to_bytes, snapshot_to_bytes_v2,
+    snapshot_v2_from_bytes, QueryEngine, Snapshot,
 };
 
 fn main() {
@@ -41,7 +46,9 @@ fn main() {
     let bytes = snapshot_to_bytes(&snap);
     let bytes_v2 = snapshot_to_bytes_v2(&snap);
     println!("snapshot: {} bytes v1, {} bytes v2\n", bytes.len(), bytes_v2.len());
-    let engine = QueryEngine::new(snap.clone());
+    let v2 = snapshot_v2_from_bytes(&bytes_v2).unwrap();
+    // The query rows serve the validated v2 buffer, as a loaded file does.
+    let engine = QueryEngine::from_v2(v2.clone());
     let b = grid.bounds();
     let (lat, lon) = grid.cell_centroid(grid.cell_id(grid.rows() / 2, grid.cols() / 2));
     // A window covering roughly 10% of the grid's area.
@@ -64,15 +71,17 @@ fn main() {
     c.bench_function("query_engine_build_36k", |bench| {
         bench.iter(|| QueryEngine::new(black_box(snap.clone())))
     });
+    c.bench_function("engine_from_v1_bytes_36k", |bench| {
+        bench.iter(|| engine_from_bytes(black_box(&bytes)).unwrap())
+    });
     // v2 startup path: encode, validate (the whole load-time cost), and
-    // borrowed-engine construction on top of a validated buffer.
+    // engine construction on top of a validated buffer.
     c.bench_function("snapshot_encode_v2_36k", |bench| {
         bench.iter(|| snapshot_to_bytes_v2(black_box(&snap)))
     });
     c.bench_function("snapshot_validate_v2_36k", |bench| {
         bench.iter(|| snapshot_v2_from_bytes(black_box(&bytes_v2)).unwrap())
     });
-    let v2 = snapshot_v2_from_bytes(&bytes_v2).unwrap();
     c.bench_function("engine_build_v2_36k", |bench| {
         bench.iter(|| QueryEngine::from_v2(black_box(v2.clone())))
     });

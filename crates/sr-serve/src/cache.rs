@@ -8,9 +8,10 @@
 //! is exceeded. Engines are handed out as `Arc`s, so an eviction never
 //! invalidates in-flight queries. Loads go through
 //! [`crate::load_engine_with`], so either snapshot format serves: v1
-//! files decode into the owned engine, v2 files validate in place and
-//! serve borrowed, which makes cache misses and reloads a
-//! section-validation pass instead of a full decode + engine build.
+//! files are transcoded at load, v2 files validate in place, and one
+//! borrowed form serves every query. For v2 files a cache miss or
+//! reload is a section-validation pass instead of a full decode +
+//! engine build.
 //!
 //! ## Reload and degradation
 //!

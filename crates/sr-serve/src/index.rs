@@ -22,10 +22,9 @@
 //!
 //! Storage is three flat arrays — `entries`, `nodes` (all levels
 //! concatenated, leaves first), `level_offsets` — so the sr-snap v2
-//! format can serialize the index verbatim and serve it *borrowed*: the
-//! query algorithms live on [`RectIndexView`], which works equally over
-//! the owned arrays or over slices cast straight out of a validated
-//! snapshot section.
+//! encoder can serialize the index verbatim and the engine can serve it
+//! *borrowed*: the query algorithms live on [`RectIndexView`], over
+//! slices cast straight out of a validated snapshot section.
 
 use sr_core::GroupRect;
 use std::cmp::Ordering;
@@ -106,8 +105,7 @@ pub(crate) struct RectIndex {
 }
 
 /// Borrowed form of [`RectIndex`]: the query algorithms live here so
-/// they run identically over owned arrays and over slices cast out of a
-/// validated v2 snapshot section.
+/// they run over slices cast out of a validated v2 snapshot section.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RectIndexView<'a> {
     pub(crate) entries: &'a [u32],
@@ -320,6 +318,7 @@ impl RectIndex {
     }
 
     /// Borrowed view carrying the query algorithms.
+    #[cfg(test)]
     pub(crate) fn view(&self) -> RectIndexView<'_> {
         RectIndexView {
             entries: &self.entries,
@@ -417,6 +416,9 @@ impl<'a> RectIndexView<'a> {
         if k == 0 || pos_lo >= pos_hi {
             return Vec::new();
         }
+        // No range holds more groups than this, so the answer is the same
+        // and the best-k heap never sizes itself from a huge caller `k`.
+        let k = k.min(pos_hi - pos_lo).min(self.entries.len());
         // A node at level L is packed: node i covers exactly the entry
         // positions [i * FANOUT^(L+1), (i+1) * FANOUT^(L+1)) ∩ [0, n).
         let in_range = |lvl: usize, i: u32| {

@@ -137,6 +137,10 @@ impl Snapshot {
         if self.agg_types.len() != p || self.integer_attrs.len() != p {
             return invalid("attribute metadata lengths differ".into());
         }
+        // Both formats store name lengths as u16.
+        if self.attr_names.iter().any(|n| n.len() > u16::MAX as usize) {
+            return invalid("attribute name longer than 65535 bytes".into());
+        }
         if self.valid.len() != cells {
             return invalid("validity bitmap length != rows * cols".into());
         }
@@ -962,6 +966,26 @@ mod tests {
             Snapshot::build(&out.repartitioned, &other, 0.2),
             Err(ServeError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn from_parts_rejects_names_too_long_to_encode() {
+        let s = sample_snapshot();
+        let long = "x".repeat(u16::MAX as usize + 1);
+        let built = Snapshot::from_parts(
+            s.theta(),
+            s.ifl(),
+            s.min_adjacent_variation(),
+            s.bounds(),
+            vec![long],
+            s.agg_types().to_vec(),
+            s.integer_attrs().to_vec(),
+            s.valid_mask().to_vec(),
+            s.partition().clone(),
+            s.features().to_vec(),
+            s.adjacency().clone(),
+        );
+        assert!(matches!(built, Err(ServeError::Invalid(_))));
     }
 
     #[test]

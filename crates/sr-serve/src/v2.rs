@@ -25,10 +25,13 @@
 //!   validity bitmap, partition (rectangles + cell→group), raw feature
 //!   table, adjacency (CSR), valid-member counts, dense
 //!   representatives, centroids, and the packed Hilbert rectangle
-//!   index. The last four are *derived* — precomputed by the exact
-//!   code path the owned engine uses ([`crate::query`]'s `Derived`),
-//!   which is what makes borrowed serving bit-identical to owned
-//!   serving.
+//!   index. The last four are *derived*: the encoder computes them once
+//!   (`Derived`, the crate's only derivation of serving data) with the
+//!   same [`sr_core::representative`] function
+//!   [`sr_core::reconstruct_grid`] uses.
+//!
+//! v2 is the only serving form: v1 files are transcoded at load
+//! ([`engine_from_bytes`]), and one borrowed form serves every query.
 //!
 //! Loading checks every checksum and every bound the accessors and
 //! query traversals index by, then serves straight from the buffer; a
@@ -39,8 +42,8 @@
 //! run by the property suites and `srtool info`. The only owned data
 //! after validation is the decoded attribute schema (`O(attrs)`).
 
-use crate::index::{self, Node, RectIndexView};
-use crate::query::{centroid_of, Derived, QueryEngine};
+use crate::index::{self, Node, RectIndex, RectIndexView};
+use crate::query::QueryEngine;
 use crate::snapshot::{
     crc32, read_file_bytes, snapshot_from_bytes, write_bytes_atomic, Snapshot, MAGIC, MAX_ATTRS,
     MAX_CELLS,
@@ -54,9 +57,8 @@ use std::sync::Arc;
 
 // The borrowed serving path casts little-endian section bytes to typed
 // slices in place; on a big-endian host those casts would misread every
-// multi-byte value. The owned v1 path could still work there, but this
-// reproduction only targets little-endian hosts — fail loudly instead
-// of corrupting silently.
+// multi-byte value. This reproduction only targets little-endian hosts —
+// fail loudly instead of corrupting silently.
 #[cfg(target_endian = "big")]
 compile_error!("sr-snap v2 serves snapshot bytes borrowed and requires a little-endian host");
 
@@ -247,11 +249,71 @@ fn nodes_to_bytes(nodes: &[Node]) -> &[u8] {
     pod_bytes(nodes)
 }
 
+/// Serving data derived from a snapshot: valid-member counts, dense
+/// per-(group, attribute) representatives, geographic centroids, and the
+/// packed rectangle index — exactly the four derived sections the
+/// encoder writes and [`SnapshotV2::verify_derived`] recomputes.
+struct Derived {
+    /// Valid-member count per group (the §III-C divisor for `Sum`).
+    valid_counts: Vec<u32>,
+    /// Dense `t × p` representatives, row-major by group; rows of null
+    /// groups are all-zero bits.
+    reps: Vec<f64>,
+    /// Geographic centroid per group rectangle.
+    centroids: Vec<[f64; 2]>,
+    /// Hilbert-sorted packed rectangle index over the group bounds.
+    index: RectIndex,
+}
+
+impl Derived {
+    /// Computes the serving data for `snapshot`.
+    fn compute(snapshot: &Snapshot) -> Derived {
+        let partition = snapshot.partition();
+        let t = partition.num_groups();
+        let p = snapshot.num_attrs();
+        let mut valid_counts = vec![0u32; t];
+        for (cell, &v) in snapshot.valid_mask().iter().enumerate() {
+            if v {
+                valid_counts[partition.group_of(cell as CellId) as usize] += 1;
+            }
+        }
+        let aggs = snapshot.agg_types();
+        let mut reps = vec![0.0f64; t * p];
+        for (g, fv) in snapshot.features().iter().enumerate() {
+            if let Some(fv) = fv {
+                for (k, &v) in fv.iter().enumerate() {
+                    reps[g * p + k] = representative(v, aggs[k], valid_counts[g] as usize);
+                }
+            }
+        }
+        let bounds = snapshot.bounds();
+        let centroids: Vec<[f64; 2]> = partition
+            .rects()
+            .iter()
+            .map(|rect| centroid_of(rect, bounds, snapshot.rows(), snapshot.cols()))
+            .collect();
+        let index =
+            RectIndex::build(partition.rects(), &centroids, snapshot.rows(), snapshot.cols());
+        Derived { valid_counts, reps, centroids, index }
+    }
+}
+
+/// The geographic centroid of a group rectangle — the exact expression
+/// both [`Derived::compute`] and [`SnapshotV2::verify_derived`] evaluate,
+/// so the stored and recomputed centroids compare bit-for-bit.
+fn centroid_of(rect: &GroupRect, bounds: Bounds, rows: usize, cols: usize) -> [f64; 2] {
+    let lat_step = (bounds.lat_max - bounds.lat_min) / rows as f64;
+    let lon_step = (bounds.lon_max - bounds.lon_min) / cols as f64;
+    [
+        bounds.lat_min + (rect.r0 + rect.r1 + 1) as f64 / 2.0 * lat_step,
+        bounds.lon_min + (rect.c0 + rect.c1 + 1) as f64 / 2.0 * lon_step,
+    ]
+}
+
 /// Serializes a snapshot to its `sr-snap v2` byte representation.
 /// Deterministic: equal snapshots produce equal bytes. The derived
-/// sections (counts, representatives, centroids, index) are computed by
-/// the same code path [`QueryEngine::new`] uses, which is what makes
-/// borrowed v2 serving bit-identical to owned serving.
+/// sections (counts, representatives, centroids, index) are computed
+/// here, once; serving reads them back borrowed.
 ///
 /// The writer is single-pass over one exactly-sized buffer: every
 /// section length is computable up front, so the payloads are copied —
@@ -648,12 +710,11 @@ pub fn snapshot_v2_from_bytes(bytes: &[u8]) -> Result<SnapshotV2> {
 ///
 /// Bit-level agreement of the four *derived* sections with
 /// recomputation (counts, representatives, centroids, index packing /
-/// curve order) is guaranteed by the encoder — which runs the exact
-/// code the owned engine runs — and is deliberately **not** recomputed
-/// here: re-deriving on every load would cost more than the rest of
-/// startup combined. [`SnapshotV2::verify_derived`] performs that deep
-/// check on demand; the property suites run it on every generated
-/// file, and `srtool info` runs it on operator request.
+/// curve order) is guaranteed by the encoder and is deliberately
+/// **not** recomputed here: re-deriving on every load would cost more
+/// than the rest of startup combined. [`SnapshotV2::verify_derived`]
+/// performs that deep check on demand; the property suites run it on
+/// every generated file, and `srtool info` runs it on operator request.
 pub fn snapshot_v2_from_aligned(bytes: AlignedBytes) -> Result<SnapshotV2> {
     let buf = bytes.as_slice();
     let header = Header::parse(buf)?;
@@ -1057,8 +1118,13 @@ impl SnapshotV2 {
 
     /// Whether `cell` is valid (non-null) in the original dataset.
     pub fn cell_valid(&self, cell: CellId) -> bool {
-        let bits = &self.buf()[self.layout.validity.clone()];
+        let bits = self.validity_bits();
         bits[cell as usize / 8] >> (cell as usize % 8) & 1 == 1
+    }
+
+    /// The LSB-first cell validity bitmap, borrowed.
+    pub(crate) fn validity_bits(&self) -> &[u8] {
+        &self.buf()[self.layout.validity.clone()]
     }
 
     /// The group containing `cell`.
@@ -1129,9 +1195,9 @@ impl SnapshotV2 {
     /// that counts, representatives, centroids, and the packed index
     /// (curve-ordered permutation, level packing, node boxes) equal a
     /// recomputation from the primary sections — i.e. that the encoder
-    /// that produced this file ran the same derivation the owned engine
-    /// runs, which is what makes borrowed serving bit-identical to
-    /// owned serving.
+    /// that produced this file ran this crate's derivation, which is
+    /// what makes served values bit-identical to
+    /// [`sr_core::reconstruct_grid`].
     ///
     /// Construction already guarantees memory safety and
     /// panic-freedom; this check guards against a buggy or foreign
@@ -1187,7 +1253,7 @@ impl SnapshotV2 {
                 }
             }
         }
-        // Centroids: the exact expression the owned engine evaluates.
+        // Centroids: the exact expression the encoder evaluates.
         for (g, rect) in rects.iter().enumerate() {
             let want = centroid_of(rect, self.bounds, self.rows, self.cols);
             if centroids[g][0].to_bits() != want[0].to_bits()
@@ -1281,13 +1347,13 @@ pub fn save_snapshot_v2_with(
 }
 
 /// Loads a snapshot file of **either** format version into a
-/// [`QueryEngine`]: v1 decodes into the owned representation, v2
-/// validates and serves borrowed. This is the loader the serving tier
-/// ([`crate::SnapshotCache`], shard routers, `srtool serve`) uses.
+/// [`QueryEngine`] (see [`engine_from_bytes`]). This is the loader the
+/// serving tier ([`crate::SnapshotCache`], shard routers,
+/// `srtool serve`) uses.
 ///
 /// ```no_run
 /// let engine = sr_serve::load_engine("current.snap").unwrap();
-/// println!("serving format v{}", engine.format_version());
+/// println!("serving {} groups", engine.num_groups());
 /// ```
 pub fn load_engine(path: impl AsRef<Path>) -> Result<QueryEngine> {
     load_engine_with(path, None)
@@ -1304,12 +1370,16 @@ pub fn load_engine_with(
     engine_from_bytes(&buf)
 }
 
-/// Builds a [`QueryEngine`] from snapshot bytes of either format.
+/// Builds a [`QueryEngine`] from snapshot bytes of either format. v2
+/// bytes are validated and served borrowed; v1 bytes are decoded,
+/// transcoded to v2, and validated like a v2 file, so any input —
+/// however malformed — yields an engine or an error, never a panic.
 pub fn engine_from_bytes(bytes: &[u8]) -> Result<QueryEngine> {
-    match peek_version(bytes) {
-        Some(FORMAT_V2) => Ok(QueryEngine::from_v2(snapshot_v2_from_bytes(bytes)?)),
-        _ => Ok(QueryEngine::new(snapshot_from_bytes(bytes)?)),
-    }
+    let v2 = match peek_version(bytes) {
+        Some(FORMAT_V2) => snapshot_v2_from_bytes(bytes)?,
+        _ => snapshot_v2_from_bytes(&snapshot_to_bytes_v2(&snapshot_from_bytes(bytes)?))?,
+    };
+    Ok(QueryEngine::from_v2(v2))
 }
 
 /// Converts snapshot bytes between format versions. The source version
@@ -1458,8 +1528,6 @@ mod tests {
         let v2 = snapshot_to_bytes_v2(&snap);
         let e1 = engine_from_bytes(&v1).unwrap();
         let e2 = engine_from_bytes(&v2).unwrap();
-        assert_eq!(e1.format_version(), 1);
-        assert_eq!(e2.format_version(), 2);
         assert_eq!(e1.stats(), e2.stats());
         let b = e1.bounds();
         assert_eq!(
@@ -1475,7 +1543,6 @@ mod tests {
         let path = std::env::temp_dir().join(format!("sr_v2_test_{}.snap", std::process::id()));
         save_snapshot_v2(&snap, &path).unwrap();
         let engine = load_engine(&path).unwrap();
-        assert_eq!(engine.format_version(), 2);
         assert_eq!(engine.to_snapshot(), snap);
         // The format-agnostic owned loader reads it too.
         let owned = crate::snapshot::load_snapshot(&path).unwrap();

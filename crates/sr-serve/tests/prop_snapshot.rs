@@ -10,11 +10,16 @@
 //!    checksum error), never decoded into something else and never a
 //!    panic — the torn-write half of the robustness contract.
 //! 4. Snapshot bytes are invariant to the compute pool's thread count.
+//! 5. Loading v1 bytes (transcoded to v2 at load) always yields an
+//!    engine, with the same statistics as loading the v2 encoding.
 
 use proptest::prelude::*;
 use sr_core::{repartition, Repartitioner};
 use sr_grid::{AggType, Bounds, GridDataset};
-use sr_serve::{snapshot_from_bytes, snapshot_to_bytes, ServeError, Snapshot};
+use sr_serve::{
+    engine_from_bytes, snapshot_from_bytes, snapshot_to_bytes, snapshot_to_bytes_v2, ServeError,
+    Snapshot,
+};
 
 /// Builds a well-formed multivariate grid from strategy-drawn parts and
 /// freezes a snapshot of its repartitioning.
@@ -69,6 +74,27 @@ proptest! {
         let back = snapshot_from_bytes(&bytes).expect("decode");
         prop_assert_eq!(&back, &snap);
         prop_assert_eq!(snapshot_to_bytes(&back), bytes);
+    }
+
+    /// Every valid v1 file loads into an engine — the v1 → v2 transcode
+    /// at load is fallible, never a panic, and never fails on a valid
+    /// snapshot — and serves the same statistics as the v2 encoding.
+    #[test]
+    fn v1_bytes_load_like_v2_bytes(
+        (rows, cols, p, raw, nulls) in (4usize..12, 4usize..12, 1usize..4)
+            .prop_flat_map(|(r, c, p)| (
+                Just(r),
+                Just(c),
+                Just(p),
+                prop::collection::vec(1.0f64..500.0, r * c * p),
+                prop::collection::vec(0u8..6, r * c),
+            )),
+        theta in 0.02f64..0.3,
+    ) {
+        let snap = random_snapshot(rows, cols, p, &raw, &nulls, theta);
+        let from_v1 = engine_from_bytes(&snapshot_to_bytes(&snap)).expect("v1 bytes load");
+        let from_v2 = engine_from_bytes(&snapshot_to_bytes_v2(&snap)).expect("v2 bytes load");
+        prop_assert_eq!(from_v1.stats(), from_v2.stats());
     }
 
     /// Any single flipped bit is rejected, and specifically as a checksum

@@ -1,9 +1,11 @@
 //! Property tests for the `sr-snap v2` zero-copy format and the
 //! v1 ↔ v2 migration path, over *arbitrary* repartitioned grids:
 //!
-//! 1. Migrating v1 bytes to v2 and serving them **borrowed** answers
-//!    point/window/knn queries bit-identically to decoding the v1 bytes
-//!    into the owned engine — the cross-format serving contract.
+//! 1. An engine loaded from v1 bytes (transcoded at load) and one
+//!    serving the migrated v2 bytes answer point/window/knn queries
+//!    bit-identically — the cross-format serving contract — and every
+//!    cell value both serve equals `sr_core::reconstruct_grid` bit for
+//!    bit, the paper's §III-C reference.
 //! 2. Migration is lossless both ways: v1 → v2 → v1 reproduces the
 //!    original v1 bytes exactly, and v2 re-encoding is deterministic.
 //! 3. Truncating a v2 file at any byte boundary is cleanly rejected
@@ -18,16 +20,17 @@
 //! so the runs must be byte-for-byte identical too.
 
 use proptest::prelude::*;
-use sr_core::repartition;
-use sr_grid::{AggType, Bounds, GridDataset};
+use sr_core::{reconstruct_grid, repartition};
+use sr_grid::{AggType, Bounds, CellId, GridDataset};
 use sr_serve::{
-    migrate_snapshot_bytes, peek_version, snapshot_from_bytes, snapshot_to_bytes,
+    engine_from_bytes, migrate_snapshot_bytes, peek_version, snapshot_to_bytes,
     snapshot_to_bytes_v2, snapshot_v2_from_bytes, QueryEngine, ServeError, Snapshot,
 };
 
 /// Builds a well-formed multivariate grid from strategy-drawn parts and
 /// freezes a snapshot of its repartitioning (same generator as the v1
 /// property suite, so the two files test the same input distribution).
+/// Returns the grid too, as the reconstruction reference.
 fn random_snapshot(
     rows: usize,
     cols: usize,
@@ -35,7 +38,7 @@ fn random_snapshot(
     raw: &[f64],
     nulls: &[u8],
     theta: f64,
-) -> Snapshot {
+) -> (Snapshot, GridDataset) {
     let valid: Vec<bool> = nulls.iter().map(|&n| n != 0).collect();
     let grid = GridDataset::new(
         rows,
@@ -50,7 +53,8 @@ fn random_snapshot(
     )
     .expect("generated grid is well-formed");
     let out = repartition(&grid, theta).expect("repartition succeeds");
-    Snapshot::build(&out.repartitioned, &grid, theta).expect("snapshot builds")
+    let snap = Snapshot::build(&out.repartitioned, &grid, theta).expect("snapshot builds");
+    (snap, grid)
 }
 
 /// The shared strategy shape: grid dims, attribute count, raw values,
@@ -73,27 +77,36 @@ fn grid_parts(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// migrate(v1 bytes) → borrowed v2 engine answers point, window, and
-    /// knn queries bit-identically to the owned v1 engine, across the
-    /// whole grid (every cell center probed) and across window shapes
-    /// and `k` values.
+    /// The engine loaded from v1 bytes and the one serving migrate(v1
+    /// bytes) answer point, window, and knn queries bit-identically,
+    /// across the whole grid (every cell center probed) and across
+    /// window shapes and `k` values; both serve exactly the values
+    /// `reconstruct_grid` materializes.
     #[test]
     fn migrated_v2_serves_bit_identically_to_v1(
         (rows, cols, p, raw, nulls) in grid_parts(11, 4),
         theta in 0.02f64..0.3,
         k in 1usize..12,
     ) {
-        let snap = random_snapshot(rows, cols, p, &raw, &nulls, theta);
+        let (snap, grid) = random_snapshot(rows, cols, p, &raw, &nulls, theta);
         let v1 = snapshot_to_bytes(&snap);
         let v2 = migrate_snapshot_bytes(&v1, 2).expect("v1 -> v2 migration");
         prop_assert_eq!(peek_version(&v2), Some(2));
-        let owned = QueryEngine::new(snapshot_from_bytes(&v1).expect("v1 decode"));
+        let from_v1 = engine_from_bytes(&v1).expect("v1 load");
         let borrowed = QueryEngine::from_v2(snapshot_v2_from_bytes(&v2).expect("v2 validate"));
-        prop_assert_eq!(owned.format_version(), 1);
-        prop_assert_eq!(borrowed.format_version(), 2);
-        prop_assert_eq!(owned.stats(), borrowed.stats());
+        prop_assert_eq!(from_v1.stats(), borrowed.stats());
 
-        let b = owned.bounds();
+        // Independent anchor: every cell's served values equal the
+        // reconstructed grid's, bit for bit, on both engines.
+        let rec = reconstruct_grid(&grid, snap.partition(), snap.features()).unwrap();
+        let bits = |v: Option<&[f64]>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        for cell in 0..(rows * cols) as CellId {
+            let want = bits(rec.features(cell).as_deref());
+            prop_assert_eq!(&bits(from_v1.cell_values(cell)), &want, "v1 engine, cell {}", cell);
+            prop_assert_eq!(&bits(borrowed.cell_values(cell)), &want, "v2 engine, cell {}", cell);
+        }
+
+        let b = from_v1.bounds();
         let lat_step = (b.lat_max - b.lat_min) / rows as f64;
         let lon_step = (b.lon_max - b.lon_min) / cols as f64;
         // Every cell center: point answers must agree bit-for-bit.
@@ -101,7 +114,7 @@ proptest! {
             for c in 0..cols {
                 let lat = b.lat_min + (r as f64 + 0.5) * lat_step;
                 let lon = b.lon_min + (c as f64 + 0.5) * lon_step;
-                prop_assert_eq!(owned.point(lat, lon), borrowed.point(lat, lon));
+                prop_assert_eq!(from_v1.point(lat, lon), borrowed.point(lat, lon));
             }
         }
         // Windows: full grid, one quadrant, a thin band.
@@ -112,11 +125,11 @@ proptest! {
         ];
         for (lat0, lat1, lon0, lon1) in windows {
             prop_assert_eq!(
-                owned.window(lat0, lat1, lon0, lon1),
+                from_v1.window(lat0, lat1, lon0, lon1),
                 borrowed.window(lat0, lat1, lon0, lon1)
             );
             prop_assert_eq!(
-                owned.window_scatter(lat0, lat1, lon0, lon1),
+                from_v1.window_scatter(lat0, lat1, lon0, lon1),
                 borrowed.window_scatter(lat0, lat1, lon0, lon1)
             );
         }
@@ -127,7 +140,7 @@ proptest! {
             ((b.lat_min + b.lat_max) / 2.0, (b.lon_min + b.lon_max) / 2.0),
         ];
         for (lat, lon) in probes {
-            prop_assert_eq!(owned.knn(lat, lon, k), borrowed.knn(lat, lon, k));
+            prop_assert_eq!(from_v1.knn(lat, lon, k), borrowed.knn(lat, lon, k));
         }
     }
 
@@ -139,7 +152,7 @@ proptest! {
         (rows, cols, p, raw, nulls) in grid_parts(11, 4),
         theta in 0.02f64..0.3,
     ) {
-        let snap = random_snapshot(rows, cols, p, &raw, &nulls, theta);
+        let (snap, _) = random_snapshot(rows, cols, p, &raw, &nulls, theta);
         let v1 = snapshot_to_bytes(&snap);
         let v2 = migrate_snapshot_bytes(&v1, 2).expect("v1 -> v2");
         prop_assert_eq!(&migrate_snapshot_bytes(&v2, 1).expect("v2 -> v1"), &v1);
@@ -164,7 +177,7 @@ proptest! {
         theta in 0.02f64..0.3,
         cut_frac in 0.0f64..1.0,
     ) {
-        let snap = random_snapshot(rows, cols, p, &raw, &nulls, theta);
+        let (snap, _) = random_snapshot(rows, cols, p, &raw, &nulls, theta);
         let bytes = snapshot_to_bytes_v2(&snap);
         let cut = ((cut_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         match snapshot_v2_from_bytes(&bytes[..cut]) {
@@ -195,7 +208,7 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let snap = random_snapshot(rows, cols, p, &raw, &nulls, theta);
+        let (snap, _) = random_snapshot(rows, cols, p, &raw, &nulls, theta);
         let bytes = snapshot_to_bytes_v2(&snap);
         let idx = ((pos_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         let mut bad = bytes.clone();
