@@ -21,6 +21,12 @@ cargo build --release --offline
 echo "==> perfbench build"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# The quickstart bins points through the ingest binner, re-partitions,
+# and asserts that the reconstructed grid's IFL equals the driver's.
+# Running it (not only compiling it) keeps the example's asserts live.
+echo "==> quickstart example"
+cargo run -q --release --offline --example quickstart
+
 # The suite runs twice: serial (SR_THREADS=1) and parallel (SR_THREADS=4).
 # Results are identical by contract (docs/PERFORMANCE.md); the two passes
 # keep both the serial fast paths and the pool fan-out honest.

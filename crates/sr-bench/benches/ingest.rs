@@ -106,7 +106,7 @@ impl BatchPipeline {
         let mut accum = CellAccumulators::new(ROWS, COLS, schema);
         let mut grid = schema.empty_grid(ROWS, COLS, Bounds::unit()).unwrap();
         let mut dirty = Vec::new();
-        accum.bin_chunk(seed, &Bounds::unit(), &mut dirty);
+        accum.bin_chunk(seed, &Bounds::unit(), &mut dirty).unwrap();
         accum.write_into(&mut grid, &dirty);
         BatchPipeline { accum, grid, driver: batch_driver(), dirty }
     }
@@ -115,7 +115,7 @@ impl BatchPipeline {
     /// then re-run the whole driver.
     fn absorb(&mut self, delta: &PointChunk) -> usize {
         self.dirty.clear();
-        self.accum.bin_chunk(delta, &Bounds::unit(), &mut self.dirty);
+        self.accum.bin_chunk(delta, &Bounds::unit(), &mut self.dirty).unwrap();
         self.accum.write_into(&mut self.grid, &self.dirty);
         self.driver.run(&self.grid).unwrap().repartitioned.num_groups()
     }
@@ -140,7 +140,7 @@ fn main() {
         g.bench_function("bin/point_stream_102k", |bench| {
             bench.iter(|| {
                 dirty.clear();
-                let n = accum.bin_chunk(black_box(&seed), &Bounds::unit(), &mut dirty);
+                let n = accum.bin_chunk(black_box(&seed), &Bounds::unit(), &mut dirty).unwrap();
                 accum.write_into(&mut grid, &dirty);
                 n
             })

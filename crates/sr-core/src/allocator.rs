@@ -393,15 +393,16 @@ fn best_average_representative(
 /// beats any keyed structure by an order of magnitude.
 const MODE_SMALL_MAX: usize = 24;
 
-/// Most frequent value, with ties broken by first occurrence (deterministic
-/// under the extractor's row-major cell order). Exact bit-equality grouping:
-/// cell values come straight from the input dataset, where repeated values
-/// (counts, rounded averages) compare exactly. `keys` is caller-provided
-/// scratch for the large-group path.
+/// Most frequent value of a non-empty slice, with ties broken by first
+/// occurrence (deterministic under the extractor's row-major cell order,
+/// and under stream order for the ingest binner's `mode` collapse). Exact
+/// bit-equality grouping: values come straight from the input, where
+/// repeated values (counts, rounded averages, categorical codes) compare
+/// exactly. `keys` is caller-provided scratch for the large-group path.
 ///
 /// Selection rule (identical on every path): maximize occurrence count,
 /// break count ties by the smallest first-occurrence index.
-fn mode(values: &[f64], keys: &mut Vec<(u64, u32)>) -> f64 {
+pub fn mode(values: &[f64], keys: &mut Vec<(u64, u32)>) -> f64 {
     debug_assert!(!values.is_empty());
     // Two values: the first always wins — equal values give it count 2,
     // distinct values tie at count 1 and first occurrence breaks the tie.
@@ -473,7 +474,7 @@ mod tests {
     use sr_grid::{normalize_attributes, AggType, Bounds};
 
     #[test]
-    fn mode_prefers_most_frequent_then_first() {
+    fn mode_prefers_highest_count_then_first() {
         let mut scratch = Vec::new();
         assert_eq!(mode(&[1.0, 2.0, 2.0, 3.0], &mut scratch), 2.0);
         // Tie between 1.0 and 2.0: first occurrence wins.

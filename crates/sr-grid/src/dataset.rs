@@ -1,4 +1,4 @@
-//! The grid dataset type and the point-record binning builder.
+//! The grid dataset type, its geographic bounds and cell addressing.
 
 use crate::{GridError, Result};
 
@@ -50,10 +50,10 @@ impl Bounds {
     /// Maps a geolocation to its `(row, col)` cell in an `rows × cols` grid
     /// over these bounds, or `None` when the point falls outside them.
     ///
-    /// Uses the same equi-interval binning as [`GridBuilder::build`], so a
-    /// record's cell and a later lookup of the same coordinates agree. The
-    /// maximum edge (`lat == lat_max` / `lon == lon_max`) belongs to the
-    /// last row/column.
+    /// Uses the same equi-interval binning as the point binner
+    /// (`sr_ingest::CellAccumulators`), so a point's cell and a later lookup
+    /// of the same coordinates agree. The maximum edge (`lat == lat_max` /
+    /// `lon == lon_max`) belongs to the last row/column.
     pub fn locate(&self, lat: f64, lon: f64, rows: usize, cols: usize) -> Option<(usize, usize)> {
         if !(lat >= self.lat_min
             && lat <= self.lat_max
@@ -66,8 +66,8 @@ impl Bounds {
     }
 
     /// Like [`Bounds::locate`], but clamps out-of-bounds coordinates to the
-    /// border cells instead of rejecting them (the builder's behaviour for
-    /// stray records). NaN coordinates clamp to the first row/column.
+    /// border cells instead of rejecting them (the binner's behaviour for
+    /// stray points). NaN coordinates clamp to the first row/column.
     pub fn locate_clamped(&self, lat: f64, lon: f64, rows: usize, cols: usize) -> (usize, usize) {
         let lat_span = (self.lat_max - self.lat_min).max(f64::MIN_POSITIVE);
         let lon_span = (self.lon_max - self.lon_min).max(f64::MIN_POSITIVE);
@@ -77,17 +77,6 @@ impl Bounds {
         let c = (cf as i64).clamp(0, cols as i64 - 1) as usize;
         (r, c)
     }
-}
-
-/// One raw data instance: a geolocation plus its attribute values.
-#[derive(Debug, Clone)]
-pub struct PointRecord {
-    /// Latitude of the instance.
-    pub lat: f64,
-    /// Longitude of the instance.
-    pub lon: f64,
-    /// Attribute values, one per dataset attribute.
-    pub values: Vec<f64>,
 }
 
 /// An `m × n` spatial grid dataset with `p` attributes per cell.
@@ -541,131 +530,6 @@ impl Iterator for ValidCells<'_> {
     }
 }
 
-/// Builds a [`GridDataset`] by binning raw [`PointRecord`]s into cells and
-/// aggregating the records mapped to each cell (paper §II: "The feature
-/// vector of a spatial cell is derived by applying aggregation operators
-/// such as AVG on the FVs of the data instances mapped to the cell").
-#[derive(Debug, Clone)]
-pub struct GridBuilder {
-    rows: usize,
-    cols: usize,
-    bounds: Bounds,
-    attr_names: Vec<String>,
-    agg_types: Vec<AggType>,
-    integer_attrs: Vec<bool>,
-}
-
-impl GridBuilder {
-    /// Creates a builder for an `rows × cols` grid over `bounds` with the
-    /// given attribute schema.
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        bounds: Bounds,
-        attr_names: Vec<String>,
-        agg_types: Vec<AggType>,
-        integer_attrs: Vec<bool>,
-    ) -> Result<Self> {
-        if rows == 0 || cols == 0 || attr_names.is_empty() {
-            return Err(GridError::EmptyGrid);
-        }
-        if agg_types.len() != attr_names.len() || integer_attrs.len() != attr_names.len() {
-            return Err(GridError::DimensionMismatch { context: "builder schema lengths differ" });
-        }
-        Ok(GridBuilder { rows, cols, bounds, attr_names, agg_types, integer_attrs })
-    }
-
-    /// Bins the records and produces the grid. Records outside the bounds
-    /// are clamped to the border cells. Cells that receive no records become
-    /// null cells.
-    pub fn build(&self, records: &[PointRecord]) -> Result<GridDataset> {
-        let p = self.attr_names.len();
-        let n_cells = self.rows * self.cols;
-        let mut sums = vec![0.0f64; n_cells * p];
-        let mut counts = vec![0u32; n_cells];
-        // Categorical codes are collected verbatim for the mode.
-        let has_mode = self.agg_types.contains(&AggType::Mode);
-        let mut mode_codes: Vec<Vec<f64>> =
-            if has_mode { vec![Vec::new(); n_cells * p] } else { Vec::new() };
-
-        for rec in records {
-            if rec.values.len() != p {
-                return Err(GridError::DimensionMismatch {
-                    context: "record value count != schema attribute count",
-                });
-            }
-            let (r, c) = self.bounds.locate_clamped(rec.lat, rec.lon, self.rows, self.cols);
-            let cell = r * self.cols + c;
-            counts[cell] += 1;
-            for (k, (s, &v)) in
-                sums[cell * p..(cell + 1) * p].iter_mut().zip(&rec.values).enumerate()
-            {
-                *s += v;
-                if has_mode && self.agg_types[k] == AggType::Mode {
-                    mode_codes[cell * p + k].push(v);
-                }
-            }
-        }
-
-        let mut data = vec![0.0f64; n_cells * p];
-        let mut valid = vec![false; n_cells];
-        for cell in 0..n_cells {
-            if counts[cell] == 0 {
-                continue;
-            }
-            valid[cell] = true;
-            for k in 0..p {
-                let s = sums[cell * p + k];
-                data[cell * p + k] = match self.agg_types[k] {
-                    AggType::Sum => s,
-                    AggType::Avg => {
-                        let mean = s / counts[cell] as f64;
-                        if self.integer_attrs[k] {
-                            mean.round()
-                        } else {
-                            mean
-                        }
-                    }
-                    AggType::Mode => {
-                        let codes = &mode_codes[cell * p + k];
-                        most_frequent(codes)
-                    }
-                };
-            }
-        }
-
-        GridDataset::new(
-            self.rows,
-            self.cols,
-            p,
-            data,
-            valid,
-            self.attr_names.clone(),
-            self.agg_types.clone(),
-            self.integer_attrs.clone(),
-            self.bounds,
-        )
-    }
-}
-
-/// Most frequent value in a non-empty slice (ties broken by first
-/// occurrence), comparing exact bit patterns — categorical codes repeat
-/// exactly.
-pub(crate) fn most_frequent(values: &[f64]) -> f64 {
-    debug_assert!(!values.is_empty());
-    let mut counts: std::collections::HashMap<u64, (usize, usize)> =
-        std::collections::HashMap::with_capacity(values.len());
-    for (i, &v) in values.iter().enumerate() {
-        let e = counts.entry(v.to_bits()).or_insert((0, i));
-        e.0 += 1;
-    }
-    let (&bits, _) = counts
-        .iter()
-        .max_by(|(_, (ca, ia)), (_, (cb, ib))| ca.cmp(cb).then(ib.cmp(ia)))
-        .expect("non-empty values");
-    f64::from_bits(bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,85 +742,5 @@ mod tests {
             let (lat, lon) = g.cell_centroid(id);
             assert_eq!(bounds.locate(lat, lon, 5, 4), Some(g.cell_pos(id)));
         }
-    }
-
-    #[test]
-    fn builder_bins_and_aggregates() {
-        let b = GridBuilder::new(
-            2,
-            2,
-            Bounds::unit(),
-            vec!["count".into(), "price".into()],
-            vec![AggType::Sum, AggType::Avg],
-            vec![false, false],
-        )
-        .unwrap();
-        let records = vec![
-            PointRecord { lat: 0.1, lon: 0.1, values: vec![1.0, 10.0] },
-            PointRecord { lat: 0.2, lon: 0.2, values: vec![1.0, 20.0] },
-            PointRecord { lat: 0.9, lon: 0.9, values: vec![1.0, 7.0] },
-        ];
-        let g = b.build(&records).unwrap();
-        // Cell (0,0): two records => count 2, price avg 15
-        let id00 = g.cell_id(0, 0);
-        assert_eq!(g.features(id00).unwrap(), &[2.0, 15.0]);
-        // Cell (1,1): one record
-        let id11 = g.cell_id(1, 1);
-        assert_eq!(g.features(id11).unwrap(), &[1.0, 7.0]);
-        // Cells with no record are null
-        assert!(g.features(g.cell_id(0, 1)).is_none());
-        assert!(g.features(g.cell_id(1, 0)).is_none());
-    }
-
-    #[test]
-    fn builder_clamps_out_of_bounds_points() {
-        let b = GridBuilder::new(
-            2,
-            2,
-            Bounds::unit(),
-            vec!["v".into()],
-            vec![AggType::Sum],
-            vec![false],
-        )
-        .unwrap();
-        let g = b.build(&[PointRecord { lat: 5.0, lon: -3.0, values: vec![2.0] }]).unwrap();
-        // Clamped to the last row, first column.
-        assert_eq!(g.features(g.cell_id(1, 0)).unwrap(), &[2.0]);
-    }
-
-    #[test]
-    fn builder_rounds_integer_avg_attributes() {
-        let b = GridBuilder::new(
-            1,
-            1,
-            Bounds::unit(),
-            vec!["rooms".into()],
-            vec![AggType::Avg],
-            vec![true],
-        )
-        .unwrap();
-        let g = b
-            .build(&[
-                PointRecord { lat: 0.5, lon: 0.5, values: vec![2.0] },
-                PointRecord { lat: 0.5, lon: 0.5, values: vec![3.0] },
-                PointRecord { lat: 0.5, lon: 0.5, values: vec![3.0] },
-            ])
-            .unwrap();
-        // mean 8/3 = 2.67 -> rounds to 3
-        assert_eq!(g.features(0).unwrap(), &[3.0]);
-    }
-
-    #[test]
-    fn builder_rejects_bad_record_arity() {
-        let b = GridBuilder::new(
-            1,
-            1,
-            Bounds::unit(),
-            vec!["v".into()],
-            vec![AggType::Sum],
-            vec![false],
-        )
-        .unwrap();
-        assert!(b.build(&[PointRecord { lat: 0.5, lon: 0.5, values: vec![1.0, 2.0] }]).is_err());
     }
 }

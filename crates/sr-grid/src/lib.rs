@@ -7,8 +7,6 @@
 //! - [`GridDataset`]: the grid itself — flattened row-major storage, a
 //!   validity mask for null cells, per-attribute aggregation metadata, and
 //!   geographic bounds.
-//! - [`GridBuilder`]: bins raw point records (e.g. taxi pickups, home sales)
-//!   into a grid, aggregating the records mapped to each cell.
 //! - [`normalize`]: attribute normalization to `[0, 1]` (the paper's worked
 //!   example divides by the per-attribute maximum).
 //! - [`variation`]: attribute variation between cells — Eq. (1).
@@ -34,7 +32,7 @@ pub mod variation;
 pub use adjacency::AdjacencyList;
 pub use autocorrelation::{gearys_c, morans_i};
 pub use curve::{hilbert_key, hilbert_key_scaled};
-pub use dataset::{AggType, Bounds, CellId, GridBuilder, GridDataset, PointRecord};
+pub use dataset::{AggType, Bounds, CellId, GridDataset};
 pub use io::{load_grid, read_gal, read_grid, save_grid, write_gal, write_grid};
 pub use local_stats::{join_counts, local_morans_i, JoinCounts, LisaQuadrant, LisaResult};
 pub use loss::{information_loss, local_loss, IflOptions};

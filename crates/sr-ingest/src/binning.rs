@@ -4,12 +4,14 @@
 //! ([`Bounds::locate_clamped`]: out-of-bounds points clamp to the border
 //! cell), and each cell folds its points' attribute samples into one value
 //! per attribute with a [`Collapse`] function — the las-rasterizer method
-//! set: mean, median, min, max, count.
+//! set (mean, median, min, max, count) plus the paper's additive `sum`
+//! and categorical `mode` (§II, §IV-A2). This is the workspace's only
+//! point binner: batch grids and live streams both fold through it.
 //!
 //! The accumulators are **batch-split invariant**: every fold consumes
 //! samples in stream order and keeps state that does not depend on where
-//! chunk boundaries fall (running sums, first-wins extrema, sample
-//! multisets), so collapsing after N batches is bit-identical to
+//! chunk boundaries fall (running sums, first-wins extrema, stream-order
+//! sample lists), so collapsing after N batches is bit-identical to
 //! collapsing the concatenated stream in one batch. The incremental ≡
 //! batch convergence guarantee of the ingestion contract starts here.
 //!
@@ -19,6 +21,8 @@
 //! a valid cell collapses to `0.0`.
 
 use crate::stream::PointChunk;
+use crate::{IngestError, Result};
+use sr_core::allocator::mode;
 use sr_grid::{AggType, Bounds, CellId, GridDataset};
 
 /// Per-attribute collapse function applied to a cell's samples.
@@ -27,8 +31,9 @@ pub enum Collapse {
     /// Arithmetic mean of finite samples.
     Mean,
     /// Median of finite samples (average of the two middle order
-    /// statistics for even counts). The only collapse whose per-cell state
-    /// grows with the sample count — see the contract's memory note.
+    /// statistics for even counts). With `Mode`, the collapse whose
+    /// per-cell state grows with the sample count — see the contract's
+    /// memory note.
     Median,
     /// Smallest finite sample (first occurrence wins ties).
     Min,
@@ -36,15 +41,22 @@ pub enum Collapse {
     Max,
     /// Number of finite samples.
     Count,
+    /// Sum of finite samples (shares `Mean`'s running-sum plane).
+    Sum,
+    /// Most frequent finite sample, ties broken by first occurrence in
+    /// stream order (keeps samples like `Median`).
+    Mode,
 }
 
 impl Collapse {
     /// The aggregation type the collapsed attribute carries in the grid:
-    /// `Count` is additive across cells (`Sum`), everything else is a
-    /// per-cell level (`Avg`).
+    /// `Count` and `Sum` are additive across cells (`Sum`), `Mode` is a
+    /// categorical code (`Mode`), everything else is a per-cell level
+    /// (`Avg`).
     pub fn agg_type(self) -> AggType {
         match self {
-            Collapse::Count => AggType::Sum,
+            Collapse::Count | Collapse::Sum => AggType::Sum,
+            Collapse::Mode => AggType::Mode,
             _ => AggType::Avg,
         }
     }
@@ -62,6 +74,8 @@ impl Collapse {
             "min" => Collapse::Min,
             "max" => Collapse::Max,
             "count" => Collapse::Count,
+            "sum" => Collapse::Sum,
+            "mode" => Collapse::Mode,
             _ => return None,
         })
     }
@@ -74,6 +88,8 @@ impl Collapse {
             Collapse::Min => "min",
             Collapse::Max => "max",
             Collapse::Count => "count",
+            Collapse::Sum => "sum",
+            Collapse::Mode => "mode",
         }
     }
 }
@@ -149,17 +165,17 @@ pub struct CellAccumulators {
     rows: usize,
     cols: usize,
     collapses: Vec<Collapse>,
-    /// Running sums, plane-major (`k·n + cell`); `Mean` only.
+    /// Running sums, plane-major (`k·n + cell`); `Mean` and `Sum`.
     sums: Vec<f64>,
     /// Finite-sample counts, plane-major; every collapse keeps them
     /// (`Mean`'s divisor, `Count`'s value, the others' seen flag).
     counts: Vec<u64>,
     /// Running extremum, plane-major; `Min`/`Max` only.
     extrema: Vec<f64>,
-    /// Sample multisets of `Median` attributes: `median_plane[k]` is
-    /// `usize::MAX` for non-median attributes, else an index `j` such that
-    /// `samples[j·n + cell]` holds the cell's samples in stream order.
-    median_plane: Vec<usize>,
+    /// Sample lists of `Median` and `Mode` attributes: `sample_plane[k]`
+    /// is `usize::MAX` for the other attributes, else an index `j` such
+    /// that `samples[j·n + cell]` holds the cell's samples in stream order.
+    sample_plane: Vec<usize>,
     samples: Vec<Vec<f64>>,
     /// Points binned per cell (any attribute, NaN or not) — the validity
     /// rule: a cell is valid iff at least one point landed in it.
@@ -174,12 +190,12 @@ impl CellAccumulators {
         let n = rows * cols;
         let p = schema.num_attrs();
         let collapses: Vec<Collapse> = schema.attrs.iter().map(|a| a.collapse).collect();
-        let mut median_plane = vec![usize::MAX; p];
-        let mut medians = 0usize;
+        let mut sample_plane = vec![usize::MAX; p];
+        let mut planes = 0usize;
         for (k, c) in collapses.iter().enumerate() {
-            if *c == Collapse::Median {
-                median_plane[k] = medians;
-                medians += 1;
+            if matches!(c, Collapse::Median | Collapse::Mode) {
+                sample_plane[k] = planes;
+                planes += 1;
             }
         }
         CellAccumulators {
@@ -189,8 +205,8 @@ impl CellAccumulators {
             sums: vec![0.0; n * p],
             counts: vec![0; n * p],
             extrema: vec![0.0; n * p],
-            median_plane,
-            samples: vec![Vec::new(); medians * n],
+            sample_plane,
+            samples: vec![Vec::new(); planes * n],
             points: vec![0; n],
             dirty_bits: vec![0; n.div_ceil(64)],
         }
@@ -200,15 +216,30 @@ impl CellAccumulators {
     /// distinct cells that received at least one point to `dirty`
     /// (deduplicated within this call, ascending). Returns the number of
     /// points binned.
+    ///
+    /// A chunk whose arity differs from the schema's, or whose `ys` /
+    /// `attrs` lengths disagree with `xs`, is rejected with
+    /// [`IngestError::Config`] before anything is folded.
     pub fn bin_chunk(
         &mut self,
         chunk: &PointChunk,
         bounds: &Bounds,
         dirty: &mut Vec<CellId>,
-    ) -> usize {
+    ) -> Result<usize> {
         let n = self.rows * self.cols;
         let p = self.collapses.len();
-        debug_assert_eq!(chunk.num_attrs, p);
+        let len = chunk.xs.len();
+        if chunk.num_attrs != p
+            || chunk.ys.len() != len
+            || len.checked_mul(p) != Some(chunk.attrs.len())
+        {
+            return Err(IngestError::Config(format!(
+                "malformed chunk: {len} xs, {} ys, {} attrs at arity {}; the schema has arity {p}",
+                chunk.ys.len(),
+                chunk.attrs.len(),
+                chunk.num_attrs
+            )));
+        }
         self.dirty_bits.fill(0);
         for i in 0..chunk.len() {
             let (r, c) = bounds.locate_clamped(chunk.ys[i], chunk.xs[i], self.rows, self.cols);
@@ -222,7 +253,7 @@ impl CellAccumulators {
                 }
                 let idx = k * n + cell;
                 match collapse {
-                    Collapse::Mean => self.sums[idx] += s,
+                    Collapse::Mean | Collapse::Sum => self.sums[idx] += s,
                     Collapse::Count => {}
                     Collapse::Min => {
                         if self.counts[idx] == 0 || s < self.extrema[idx] {
@@ -234,8 +265,8 @@ impl CellAccumulators {
                             self.extrema[idx] = s;
                         }
                     }
-                    Collapse::Median => {
-                        self.samples[self.median_plane[k] * n + cell].push(s);
+                    Collapse::Median | Collapse::Mode => {
+                        self.samples[self.sample_plane[k] * n + cell].push(s);
                     }
                 }
                 self.counts[idx] += 1;
@@ -249,7 +280,7 @@ impl CellAccumulators {
                 bits &= bits - 1;
             }
         }
-        chunk.len()
+        Ok(len)
     }
 
     /// The collapsed value of attribute `k` in `cell` under the current
@@ -267,6 +298,7 @@ impl CellAccumulators {
                 }
             }
             Collapse::Count => count as f64,
+            Collapse::Sum => self.sums[idx],
             Collapse::Min | Collapse::Max => {
                 if count == 0 {
                     0.0
@@ -274,9 +306,13 @@ impl CellAccumulators {
                     self.extrema[idx]
                 }
             }
-            Collapse::Median => {
-                let samples = &self.samples[self.median_plane[k] * n + cell as usize];
-                median(samples)
+            Collapse::Median => median(&self.samples[self.sample_plane[k] * n + cell as usize]),
+            Collapse::Mode => {
+                if count == 0 {
+                    0.0
+                } else {
+                    mode(&self.samples[self.sample_plane[k] * n + cell as usize], &mut Vec::new())
+                }
             }
         }
     }
@@ -343,7 +379,7 @@ mod tests {
     fn bin_all(s: &IngestSchema, points: &[(f64, f64, &[f64])]) -> (CellAccumulators, Vec<CellId>) {
         let mut acc = CellAccumulators::new(2, 2, s);
         let mut dirty = Vec::new();
-        acc.bin_chunk(&chunk_of(points, s.num_attrs()), &Bounds::unit(), &mut dirty);
+        acc.bin_chunk(&chunk_of(points, s.num_attrs()), &Bounds::unit(), &mut dirty).unwrap();
         (acc, dirty)
     }
 
@@ -431,26 +467,91 @@ mod tests {
     #[test]
     fn out_of_bounds_points_clamp_to_border_cells() {
         let s = schema("v:mean");
-        let pts: Vec<(f64, f64, &[f64])> = vec![(-5.0, -5.0, &[1.0][..]), (9.0, 9.0, &[2.0][..])];
-        let (_, dirty) = bin_all(&s, &pts);
-        assert_eq!(dirty, vec![0, 3]);
+        let pts: Vec<(f64, f64, &[f64])> =
+            vec![(-5.0, -5.0, &[1.0][..]), (9.0, 9.0, &[2.0][..]), (-3.0, 5.0, &[3.0][..])];
+        let (acc, dirty) = bin_all(&s, &pts);
+        // x is longitude (columns), y latitude (rows): (x=-3, y=5) clamps
+        // to the last row, first column — cell (1,0).
+        assert_eq!(dirty, vec![0, 2, 3]);
+        assert_eq!(acc.collapsed(2, 0), 3.0);
+    }
+
+    #[test]
+    fn sum_and_mode_collapse_across_batches() {
+        let s = schema("s:sum,c:mode");
+        let mut acc = CellAccumulators::new(2, 2, &s);
+        let mut dirty = Vec::new();
+        let batches: [Vec<(f64, f64, &[f64])>; 2] = [
+            vec![(0.1, 0.1, &[1.5, 3.0][..]), (0.9, 0.9, &[f64::NAN, f64::NAN][..])],
+            vec![
+                (0.1, 0.1, &[2.0, 8.0][..]),
+                (0.2, 0.2, &[4.0, 3.0][..]),
+                (0.1, 0.1, &[f64::NAN, 8.0][..]),
+            ],
+        ];
+        for batch in &batches {
+            acc.bin_chunk(&chunk_of(batch, 2), &Bounds::unit(), &mut dirty).unwrap();
+        }
+        // Sum skips the NaN sample. Mode sees 3 | 8 3 8: a tie at two
+        // samples each, won by 3.0's first occurrence in the earlier batch
+        // (the later batch alone, or a last-occurrence rule, picks 8.0).
+        assert_eq!(acc.collapsed(0, 0), 7.5);
+        assert_eq!(acc.collapsed(0, 1), 3.0);
+        // A valid cell with zero finite samples collapses to 0.0.
+        assert_eq!((acc.collapsed(3, 0), acc.collapsed(3, 1)), (0.0, 0.0));
+
+        let mut grid = s.empty_grid(2, 2, Bounds::unit()).unwrap();
+        assert_eq!(grid.agg_types(), &[AggType::Sum, AggType::Mode]);
+        dirty.sort_unstable();
+        dirty.dedup();
+        acc.write_into(&mut grid, &dirty);
+        assert_eq!(grid.features(0).unwrap(), &[7.5, 3.0]);
+        assert_eq!(grid.features(3).unwrap(), &[0.0, 0.0]);
+        // Cells no point landed in stay invalid.
+        assert!(!grid.is_valid(1) && !grid.is_valid(2));
+    }
+
+    #[test]
+    fn malformed_chunks_are_rejected_untouched() {
+        let s = schema("v:mean,n:count");
+        let (mut acc, _) = bin_all(&s, &[(0.1, 0.1, &[1.0, 1.0][..])]);
+        let before = format!("{acc:?}");
+        let malformed = [
+            // Arity differs from the schema's.
+            PointChunk { xs: vec![0.5], ys: vec![0.5], attrs: vec![1.0, 2.0, 3.0], num_attrs: 3 },
+            // Fewer latitudes than longitudes.
+            PointChunk { xs: vec![0.5, 0.6], ys: vec![0.5], attrs: vec![1.0; 4], num_attrs: 2 },
+            // Too few attribute samples for the point count.
+            PointChunk {
+                xs: vec![0.5, 0.6],
+                ys: vec![0.5, 0.6],
+                attrs: vec![1.0; 3],
+                num_attrs: 2,
+            },
+        ];
+        for chunk in &malformed {
+            let mut dirty = Vec::new();
+            let r = acc.bin_chunk(chunk, &Bounds::unit(), &mut dirty);
+            assert!(matches!(r, Err(IngestError::Config(_))), "{chunk:?} accepted");
+            assert!(dirty.is_empty());
+            assert_eq!(format!("{acc:?}"), before);
+        }
     }
 
     #[test]
     fn batch_splits_do_not_change_collapsed_bits() {
-        let s = schema("m:mean,d:median,lo:min,hi:max,n:count");
+        let s = schema("m:mean,d:median,lo:min,hi:max,n:count,s:sum,o:mode");
         let p = s.num_attrs();
         // A stream of awkward values whose folds are sensitive to order.
         let vals = [0.1, 0.7, 1e-9, 3.33, 0.5, 2.25, 1e9, 0.1, -4.5, 7.0, 0.3, 1e-3];
-        let pts: Vec<(f64, f64, Vec<f64>)> =
-            vals.iter().map(|&v| (0.2, 0.2, vec![v, v, v, v, v])).collect();
+        let pts: Vec<(f64, f64, Vec<f64>)> = vals.iter().map(|&v| (0.2, 0.2, vec![v; p])).collect();
 
         let one_shot = {
             let mut acc = CellAccumulators::new(2, 2, &s);
             let mut dirty = Vec::new();
             let pts_ref: Vec<(f64, f64, &[f64])> =
                 pts.iter().map(|(x, y, a)| (*x, *y, &a[..])).collect();
-            acc.bin_chunk(&chunk_of(&pts_ref, p), &Bounds::unit(), &mut dirty);
+            acc.bin_chunk(&chunk_of(&pts_ref, p), &Bounds::unit(), &mut dirty).unwrap();
             (0..p).map(|k| acc.collapsed(0, k).to_bits()).collect::<Vec<_>>()
         };
         for split in [1usize, 2, 3, 5, 7] {
@@ -459,7 +560,7 @@ mod tests {
                 let mut dirty = Vec::new();
                 let pts_ref: Vec<(f64, f64, &[f64])> =
                     batch.iter().map(|(x, y, a)| (*x, *y, &a[..])).collect();
-                acc.bin_chunk(&chunk_of(&pts_ref, p), &Bounds::unit(), &mut dirty);
+                acc.bin_chunk(&chunk_of(&pts_ref, p), &Bounds::unit(), &mut dirty).unwrap();
             }
             let bits = (0..p).map(|k| acc.collapsed(0, k).to_bits()).collect::<Vec<_>>();
             assert_eq!(bits, one_shot, "split {split} diverged");

@@ -152,21 +152,20 @@ impl IngestEngine {
 
     /// Ingests one chunk: folds its points into the accumulators, writes
     /// the dirty cells' collapsed values into the grid, patches the scan
-    /// cache, and marks the cells dirty for the next re-partition.
+    /// cache, and marks the cells dirty for the next re-partition. A
+    /// malformed chunk ([`CellAccumulators::bin_chunk`]) is rejected with
+    /// [`IngestError::Config`] and leaves the engine untouched.
     ///
     /// Emits an `ingest.batch` span with an `ingest.bin` child and bumps
     /// `ingest.batches_total` / `ingest.points_total` /
     /// `ingest.dirty_cells_total` (+ `ingest.scan_rebuilds_total` when a
     /// batch forced the scan cache to rebuild).
     pub fn apply_batch(&mut self, chunk: &PointChunk) -> Result<BatchReport> {
-        if chunk.num_attrs != self.config.schema.num_attrs() {
-            return Err(IngestError::Config("chunk arity does not match the schema".into()));
-        }
         let mut span = sr_obs::span("ingest.batch");
         let mut dirty: Vec<CellId> = Vec::new();
         let points = {
             let _bin = sr_obs::span("ingest.bin");
-            let points = self.accum.bin_chunk(chunk, &self.config.bounds, &mut dirty);
+            let points = self.accum.bin_chunk(chunk, &self.config.bounds, &mut dirty)?;
             self.accum.write_into(&mut self.grid, &dirty);
             points
         };

@@ -3,7 +3,8 @@
 //! This crate turns the framework from a batch pipeline into a living
 //! service: raw point streams `(x, y, attrs…)` are consumed in
 //! bounded-memory chunks ([`StreamReader`]), binned into grid cells with
-//! per-cell mean/median/min/max/count collapse ([`CellAccumulators`]), and
+//! per-cell mean/median/min/max/count/sum/mode collapse
+//! ([`CellAccumulators`], the workspace's one point binner), and
 //! maintained as a [`sr_grid::GridDataset`] whose re-partition is kept
 //! current *incrementally*: each batch patches the driver's scan inputs
 //! over the dirty cells ([`sr_core::incremental::ScanCache`]), so an exact

@@ -1,4 +1,4 @@
-//! Quickstart: build a grid from raw point records, re-partition it under
+//! Quickstart: bin raw points into a grid, re-partition it under
 //! an information-loss budget, and inspect everything the framework gives
 //! you — the cell-groups, their adjacency (Algorithm 3), the achieved IFL,
 //! the preserved spatial autocorrelation, and the §III-C reconstruction.
@@ -8,28 +8,25 @@
 use spatial_repartition::prelude::*;
 
 fn main() {
-    // ── 1. Raw data: point records (think individual home sales). ──────
+    // ── 1. Raw data: points (think individual home sales). ──────────────
     // Price varies smoothly from south-west to north-east plus local noise.
-    let mut records = Vec::new();
+    // A chunk stores longitudes as `x` and latitudes as `y`.
+    let mut points = PointChunk::with_capacity(4000, 1);
     for i in 0..4000 {
         let lat = (i % 63) as f64 / 63.0;
         let lon = ((i * 37) % 71) as f64 / 71.0;
         let price =
             150_000.0 + 200_000.0 * (lat + lon) / 2.0 + 8_000.0 * ((i * 7919) % 13) as f64 / 13.0;
-        records.push(PointRecord { lat, lon, values: vec![price] });
+        points.push(lon, lat, &[price]);
     }
 
-    // ── 2. Bin them into a 24×24 spatial grid (avg price per cell). ─────
-    let builder = GridBuilder::new(
-        24,
-        24,
-        Bounds::unit(),
-        vec!["price".into()],
-        vec![AggType::Avg],
-        vec![false],
-    )
-    .expect("valid schema");
-    let grid = builder.build(&records).expect("consistent records");
+    // ── 2. Bin them into a 24×24 spatial grid (mean price per cell). ────
+    let schema = IngestSchema::parse("price:mean").expect("valid schema");
+    let mut binner = CellAccumulators::new(24, 24, &schema);
+    let mut occupied = Vec::new();
+    binner.bin_chunk(&points, &Bounds::unit(), &mut occupied).expect("well-formed chunk");
+    let mut grid = schema.empty_grid(24, 24, Bounds::unit()).expect("non-empty grid");
+    binner.write_into(&mut grid, &occupied);
     println!(
         "grid: {}x{} = {} cells ({} valid)",
         grid.rows(),

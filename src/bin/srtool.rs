@@ -51,8 +51,8 @@
 //!   [--strided]`
 //!   consumes a raw point stream (`x y attr_1 … attr_p` per line) in
 //!   bounded-memory batches, bins points into grid cells with the
-//!   per-attribute collapse (`mean|median|min|max|count`), and keeps an
-//!   exact re-partition current *incrementally*: each batch patches the
+//!   per-attribute collapse (`mean|median|min|max|count|sum|mode`), and
+//!   keeps an exact re-partition current *incrementally*: each batch patches the
 //!   driver's scan inputs over the dirty cells, so only the threshold
 //!   walk re-runs. `--snapshot-out` republishes each accepted result as
 //!   an atomically-replaced v2 snapshot a running `srtool serve` picks
@@ -665,7 +665,7 @@ fn cmd_ingest(opts: &Opts) -> Result<(), String> {
         .ok_or_else(|| format!("bad --grid '{grid_spec}' (expected RxC, e.g. 320x320)"))?;
     let attrs = required(opts, "attrs")?;
     let schema = IngestSchema::parse(attrs).ok_or_else(|| {
-        format!("bad --attrs '{attrs}' (expected name:mean|median|min|max|count,...)")
+        format!("bad --attrs '{attrs}' (expected name:mean|median|min|max|count|sum|mode,...)")
     })?;
     let batch_size: usize = opts
         .get("batch-size")

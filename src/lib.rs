@@ -105,10 +105,12 @@ pub mod prelude {
     pub use sr_grid::{
         gearys_c, information_loss, join_counts, local_morans_i, morans_i, normalize_attributes,
         read_gal, read_grid, render_heatmap, render_partition, variation_between_typed, write_gal,
-        write_grid, AdjacencyList, AggType, Bounds, GridBuilder, GridDataset, IflOptions,
-        PointRecord,
+        write_grid, AdjacencyList, AggType, Bounds, GridDataset, IflOptions,
     };
-    pub use sr_ingest::{Collapse, IngestConfig, IngestEngine, IngestSchema, StreamReader};
+    pub use sr_ingest::{
+        CellAccumulators, Collapse, IngestConfig, IngestEngine, IngestSchema, PointChunk,
+        StreamReader,
+    };
     pub use sr_ml::{
         bin_into_quantiles, cluster_agreement, lm_diagnostics, mae, pseudo_r2, rmse, se_regression,
         weighted_f1, GradientBoostingClassifier, Gwr, KnnClassifier, KnnRegressor, OrdinaryKriging,
