@@ -107,7 +107,12 @@ done
 # pool must never be slower than 1 thread by more than
 # SR_GATE_MAX_T4_RATIO (default 1.25× — a 1-vCPU box pays a real ~5-10%
 # worker-handoff cost; tighten to 1.10 on multicore), and a localized
-# 1%-dirty round must stay under SR_GATE_MAX_INCR_MS (default 40 ms).
+# 1%-dirty round must stay under SR_GATE_MAX_INCR_MS (default 40 ms) and
+# under SR_GATE_MAX_INCR_RATIO (default 0.25) times a cold run_with_scan
+# walk over the same patched grid, both timed in the same process (the
+# ratio carries across machines; the absolute ceiling stays beside it).
+# Every gated outcome is cross-checked against its reference on every
+# partition rectangle and every feature bit.
 # Run at both pool budgets so the global-pool path is timed serial and
 # fanned out.
 for threads in 1 4; do

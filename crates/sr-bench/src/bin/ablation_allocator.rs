@@ -11,7 +11,7 @@
 
 use sr_bench::report::Table;
 use sr_bench::ExpConfig;
-use sr_core::{extract_cell_groups, partition_ifl};
+use sr_core::{extract_cell_groups, partition_ifl, GroupFeatures};
 use sr_datasets::{Dataset, GridSize};
 use sr_grid::{local_loss, normalize_attributes, AggType, IflOptions};
 
@@ -41,10 +41,12 @@ fn main() {
             // Mean-only allocation for Avg attributes.
             let mut mode_wins = 0usize;
             let mut avg_groups = 0usize;
-            let mut mean_only = Vec::with_capacity(partition.num_groups());
+            let p = grid.num_attrs();
+            let mut mean_values = Vec::with_capacity(partition.num_groups() * p);
+            let mut member_counts = Vec::with_capacity(partition.num_groups());
             for gid in 0..partition.num_groups() as u32 {
-                let mut fv = vec![0.0f64; grid.num_attrs()];
-                let mut any = false;
+                let mut fv = vec![0.0f64; p];
+                let members = partition.cells_iter(gid).filter(|&c| grid.is_valid(c)).count();
                 for (k, slot) in fv.iter_mut().enumerate() {
                     let values: Vec<f64> = partition
                         .cells_iter(gid)
@@ -54,7 +56,6 @@ fn main() {
                     if values.is_empty() {
                         continue;
                     }
-                    any = true;
                     *slot = match grid.agg_types()[k] {
                         AggType::Sum => values.iter().sum(),
                         AggType::Mode => values[0],
@@ -64,7 +65,7 @@ fn main() {
                             // Track how often Algorithm 2 disagreed (mode won).
                             if values.len() > 1 {
                                 avg_groups += 1;
-                                if let Some(a2) = &alg2[gid as usize] {
+                                if let Some(a2) = alg2.row(gid as usize) {
                                     if (a2[k] - mean).abs() > 1e-12
                                         && local_loss(&values, a2[k]) < local_loss(&values, mean)
                                     {
@@ -76,8 +77,10 @@ fn main() {
                         }
                     };
                 }
-                mean_only.push(any.then_some(fv));
+                mean_values.extend_from_slice(&fv);
+                member_counts.push(members as u32);
             }
+            let mean_only = GroupFeatures::from_flat(p, mean_values, member_counts);
             let ifl_mean = partition_ifl(&grid, &partition, &mean_only, IflOptions::default());
             let win_pct =
                 if avg_groups > 0 { 100.0 * mode_wins as f64 / avg_groups as f64 } else { 0.0 };

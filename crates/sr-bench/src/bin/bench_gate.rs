@@ -16,9 +16,15 @@
 //!    [`Repartitioner::run_localized`] on a warmed state) must finish
 //!    within `SR_GATE_MAX_INCR_MS` milliseconds — the regression gate for
 //!    the dirty-region walk (`docs/PERFORMANCE.md`).
+//! 4. **Incremental ratio**: the same localized round divided by a cold
+//!    [`Repartitioner::run_with_scan`] walk over the same patched grid,
+//!    both timed in this process, must stay within
+//!    `SR_GATE_MAX_INCR_RATIO` — a same-run ratio that carries across
+//!    machines where the absolute ceiling of gate 3 does not. It sits
+//!    beside gate 3, not instead of it.
 //!
 //! All thresholds are env-overridable because wall-clock gates are
-//! hardware statements: the defaults (250 ms, 1.25×, 40 ms) are sized for
+//! hardware statements: the defaults (250 ms, 1.25×, 40 ms, 0.25) are sized for
 //! the 1-vCPU shared reference container, whose best case for the driver
 //! workload is ~135–160 ms with ±1.5× scheduler drift, and where a
 //! 4-thread pool pays a real per-region worker-handoff cost (~5–10%,
@@ -29,8 +35,9 @@
 //!
 //! The timing loops double as determinism checks: the t1 and t4 runs
 //! must produce bit-identical outcomes, and the localized rounds must
-//! match a non-localized run over the same patched scan inputs — or the
-//! timings compare different work and the gate aborts.
+//! match a non-localized run over the same patched scan inputs — every
+//! partition rectangle and every feature bit — or the timings compare
+//! different work and the gate aborts.
 
 use sr_core::{
     IterationStrategy, LocalizedState, RepartitionConfig, RepartitionOutcome, Repartitioner,
@@ -67,6 +74,25 @@ fn time_best(mut run: impl FnMut() -> RepartitionOutcome) -> (f64, RepartitionOu
         last = Some(out);
     }
     (best, last.unwrap())
+}
+
+/// Asserts that two outcomes did identical work: group count, IFL bits,
+/// iteration count, every partition rectangle, and every feature bit.
+fn assert_same_outcome(a: &RepartitionOutcome, b: &RepartitionOutcome, what: &str) {
+    let (ra, rb) = (&a.repartitioned, &b.repartitioned);
+    assert_eq!(ra.num_groups(), rb.num_groups(), "{what}: group counts differ");
+    assert_eq!(ra.ifl().to_bits(), rb.ifl().to_bits(), "{what}: IFL bits differ");
+    assert_eq!(a.iterations.len(), b.iterations.len(), "{what}: iteration counts differ");
+    assert!(
+        ra.partition().rects() == rb.partition().rects(),
+        "{what}: partition rectangles differ"
+    );
+    let (fa, fb) = (ra.features(), rb.features());
+    assert_eq!(fa.valid_counts(), fb.valid_counts(), "{what}: group valid counts differ");
+    assert!(
+        fa.values().iter().zip(fb.values()).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "{what}: feature bits differ"
+    );
 }
 
 /// Deterministic xorshift64* (same generator as the bench suite) so the
@@ -107,10 +133,7 @@ fn main() {
     );
 
     // Determinism cross-check: the two pools must have done identical work.
-    let (r1, r4) = (&out1.repartitioned, &out4.repartitioned);
-    assert_eq!(r1.num_groups(), r4.num_groups(), "t1/t4 group counts differ");
-    assert_eq!(r1.ifl().to_bits(), r4.ifl().to_bits(), "t1/t4 IFL bits differ");
-    assert_eq!(out1.iterations.len(), out4.iterations.len(), "t1/t4 iteration counts differ");
+    assert_same_outcome(&out1, &out4, "t1/t4");
 
     // Gate 3: localized incremental rounds on a warmed state — a smooth
     // 320×320 univariate surface with a pinned maximum (so scan updates
@@ -118,6 +141,7 @@ fn main() {
     // round is the full incremental unit of work: value writes + scan
     // patch + localized driver run.
     let max_incr_ms = env_f64("SR_GATE_MAX_INCR_MS", 40.0);
+    let max_incr_ratio = env_f64("SR_GATE_MAX_INCR_RATIO", 0.25);
     let (rows, cols) = (320usize, 320usize);
     let n = rows * cols;
     let mut rng = Rng(0x1745_90D1);
@@ -156,23 +180,21 @@ fn main() {
         incr_ms = incr_ms.min(t.elapsed().as_secs_f64() * 1e3);
         last = Some((hint, out));
     }
+    // The cold walk over the same patched grid and scan cache, timed in
+    // this process: the denominator of the same-run ratio gate.
+    let (cold_ms, _) = time_best(|| drv.run_with_scan(&igrid, &scan, pool).unwrap());
+    let incr_ratio = incr_ms / cold_ms;
     println!(
-        "bench_gate: localized 1%-dirty round best-of-{SAMPLES}: {incr_ms:.1} ms \
-         (gate: ≤{max_incr_ms:.0} ms)"
+        "bench_gate: localized 1%-dirty round best-of-{SAMPLES}: {incr_ms:.1} ms, \
+         cold run_with_scan {cold_ms:.1} ms, ratio {incr_ratio:.3} \
+         (gates: ≤{max_incr_ms:.0} ms, ratio ≤ {max_incr_ratio:.2})"
     );
 
     // Determinism cross-check: the last localized round must equal the
     // batch driver's hinted walk over the same patched grid.
     let (hint, out) = last.unwrap();
     let reference = drv.run_with_pool_warm(&igrid, pool, hint).unwrap();
-    let (rl, rr) = (&out.repartitioned, &reference.repartitioned);
-    assert_eq!(rl.num_groups(), rr.num_groups(), "localized/batch group counts differ");
-    assert_eq!(rl.ifl().to_bits(), rr.ifl().to_bits(), "localized/batch IFL bits differ");
-    assert_eq!(
-        out.iterations.len(),
-        reference.iterations.len(),
-        "localized/batch iteration counts differ"
-    );
+    assert_same_outcome(&out, &reference, "localized/batch");
 
     let mut failed = false;
     if global_ms > max_driver_ms {
@@ -192,6 +214,13 @@ fn main() {
         eprintln!(
             "bench_gate: FAIL — localized round {incr_ms:.1} ms exceeds \
              SR_GATE_MAX_INCR_MS={max_incr_ms:.0}"
+        );
+        failed = true;
+    }
+    if incr_ratio > max_incr_ratio {
+        eprintln!(
+            "bench_gate: FAIL — localized round / cold walk {incr_ratio:.3} exceeds \
+             SR_GATE_MAX_INCR_RATIO={max_incr_ratio:.2}"
         );
         failed = true;
     }

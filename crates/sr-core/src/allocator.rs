@@ -53,8 +53,7 @@ fn count_valid_range(words: &[u64], start: usize, len: usize) -> usize {
 
 /// Flat arena of allocated group features: one `p`-wide row of values per
 /// group plus the group's valid-member count, with no per-group heap
-/// allocation. The boxed [`Vec<Option<Vec<f64>>>`] form the public pipeline
-/// types use is materialized on demand — see [`GroupFeatures::into_options`].
+/// allocation. Null groups (no valid member) carry an all-zero row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFeatures {
     p: usize,
@@ -147,35 +146,50 @@ impl GroupFeatures {
         self.valid_counts[g] as usize
     }
 
-    /// Assembles an arena from already-aggregated parts — the driver
-    /// materializes its winner from cached per-rect rows, which were
-    /// produced by the same [`allocate_rect_into`] [`allocate_with`] uses,
-    /// so the assembled arena is bit-identical to a fresh allocation.
-    ///
-    /// [`allocate_with`]: GroupFeatures::allocate_with
-    pub(crate) fn from_raw(p: usize, values: Vec<f64>, valid_counts: Vec<u32>) -> Self {
-        debug_assert_eq!(values.len(), valid_counts.len() * p);
-        GroupFeatures { p, values, valid_counts }
+    /// Allocated values of every group, row-major: `values()[g·p + k]` is
+    /// attribute `k` of group `g` (all-zero rows for null groups).
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
-    /// Materializes the boxed per-group representation used by the public
-    /// pipeline types (`Repartitioned::features`, snapshots, serving).
-    pub fn into_options(self) -> Vec<Option<Vec<f64>>> {
-        let p = self.p;
-        self.valid_counts
-            .iter()
-            .enumerate()
-            .map(|(g, &count)| (count > 0).then(|| self.values[g * p..(g + 1) * p].to_vec()))
-            .collect()
+    /// Valid-member count of every group (0 marks a null group).
+    pub fn valid_counts(&self) -> &[u32] {
+        &self.valid_counts
+    }
+
+    /// Iterates over the groups' feature rows in group-id order (`None`
+    /// for null groups).
+    pub fn iter(&self) -> impl Iterator<Item = Option<&[f64]>> + '_ {
+        (0..self.num_groups()).map(|g| self.row(g))
+    }
+
+    /// Number of non-null groups.
+    pub fn num_valid_groups(&self) -> usize {
+        self.valid_counts.iter().filter(|&&c| c > 0).count()
+    }
+
+    /// Assembles an arena from flat parts: `values` holds one `p`-wide row
+    /// per entry of `valid_counts`. Rows of null groups (count 0) are
+    /// zeroed, so equal features always compare and serialize equal.
+    ///
+    /// # Panics
+    ///
+    /// If `values.len() != valid_counts.len() * p`.
+    pub fn from_flat(p: usize, mut values: Vec<f64>, valid_counts: Vec<u32>) -> Self {
+        assert_eq!(values.len(), valid_counts.len() * p, "from_flat: values are not t × p");
+        for (g, _) in valid_counts.iter().enumerate().filter(|(_, &c)| c == 0) {
+            values[g * p..(g + 1) * p].fill(0.0);
+        }
+        GroupFeatures { p, values, valid_counts }
     }
 }
 
 /// Representative feature vectors of all groups in `partition`, indexed by
-/// group id; `None` marks a null group. Runs on [`sr_par::Pool::global`];
+/// group id (null groups have no row). Runs on [`sr_par::Pool::global`];
 /// output is bit-identical at any thread count (groups are independent and
 /// emitted in group-id order).
-pub fn allocate_features(original: &GridDataset, partition: &Partition) -> Vec<Option<Vec<f64>>> {
-    allocate_features_with(original, partition, sr_par::Pool::global())
+pub fn allocate_features(original: &GridDataset, partition: &Partition) -> GroupFeatures {
+    GroupFeatures::allocate(original, partition)
 }
 
 /// [`allocate_features`] on an explicit pool.
@@ -183,8 +197,8 @@ pub fn allocate_features_with(
     original: &GridDataset,
     partition: &Partition,
     pool: &sr_par::Pool,
-) -> Vec<Option<Vec<f64>>> {
-    GroupFeatures::allocate_with(original, partition, pool).into_options()
+) -> GroupFeatures {
+    GroupFeatures::allocate_with(original, partition, pool)
 }
 
 /// Algorithm 2 for one group: gather the group's valid cells plane-wise
@@ -518,7 +532,7 @@ mod tests {
         let p = extract_cell_groups(&norm, 1.0);
         assert_eq!(p.num_groups(), 1);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[7.0][..]));
+        assert_eq!(feats.row(0), Some(&[7.0][..]));
     }
 
     #[test]
@@ -529,8 +543,8 @@ mod tests {
         let norm = normalize_attributes(&g);
         let p = extract_cell_groups(&norm, 1.0);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats.len(), 1);
-        assert!(feats[0].is_none());
+        assert_eq!(feats.num_groups(), 1);
+        assert!(feats.row(0).is_none());
     }
 
     #[test]
@@ -555,7 +569,7 @@ mod tests {
             vec![0, 0],
         );
         let feats = allocate_features(&g, &p);
-        let fv = feats[0].as_ref().unwrap();
+        let fv = feats.row(0).unwrap();
         assert_eq!(fv[0], 6.0); // sum of counts
         assert_eq!(fv[1], 15.0); // mean of prices (mode loss is worse)
     }
@@ -565,7 +579,24 @@ mod tests {
         let g = GridDataset::univariate(1, 2, vec![42.0, 7.0]).unwrap();
         let p = Partition::identity(1, 2);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[42.0][..]));
-        assert_eq!(feats[1].as_deref(), Some(&[7.0][..]));
+        assert_eq!(feats.row(0), Some(&[42.0][..]));
+        assert_eq!(feats.row(1), Some(&[7.0][..]));
+    }
+
+    #[test]
+    fn from_flat_zeroes_null_rows() {
+        let f = GroupFeatures::from_flat(2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![2, 0, 1]);
+        assert_eq!(f.values(), &[1.0, 2.0, 0.0, 0.0, 5.0, 6.0]);
+        assert_eq!(
+            f.iter().collect::<Vec<_>>(),
+            vec![Some(&[1.0, 2.0][..]), None, Some(&[5.0, 6.0][..])]
+        );
+        assert_eq!((f.num_groups(), f.num_valid_groups(), f.valid_count(0)), (3, 2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "from_flat")]
+    fn from_flat_rejects_ragged_values() {
+        GroupFeatures::from_flat(2, vec![1.0; 5], vec![1, 1, 1]);
     }
 }

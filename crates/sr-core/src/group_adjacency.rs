@@ -22,9 +22,15 @@ pub fn group_adjacency(partition: &Partition) -> AdjacencyList {
     group_adjacency_with(partition, sr_par::Pool::global())
 }
 
-/// [`group_adjacency`] on an explicit pool.
+/// [`group_adjacency`] on an explicit pool. Writes the CSR arrays of the
+/// [`AdjacencyList`] directly — no per-group list — and emits the
+/// `repartition.adjacency` span.
 pub fn group_adjacency_with(partition: &Partition, pool: &sr_par::Pool) -> AdjacencyList {
     let n_groups = partition.num_groups();
+    let mut span = sr_obs::span("repartition.adjacency");
+    span.record("groups", n_groups);
+    let mut offsets: Vec<u32> = Vec::with_capacity(n_groups + 1);
+    offsets.push(0);
     if pool.threads() <= 1 {
         // One shared stamp array gives O(1) dedup on the serial path; the
         // parallel chunks below use the allocation-free linear dedup
@@ -32,58 +38,54 @@ pub fn group_adjacency_with(partition: &Partition, pool: &sr_par::Pool) -> Adjac
         // neighbor on first encounter in identical probe order, so the
         // lists are the same either way.
         let mut stamp = vec![u32::MAX; n_groups];
-        let neighbors = (0..n_groups)
-            .map(|gid| group_neighbors_stamped(partition, gid as GroupId, &mut stamp))
-            .collect();
-        return AdjacencyList::from_neighbors(neighbors);
+        let mut neighbors: Vec<u32> = Vec::with_capacity(4 * n_groups);
+        for gid in 0..n_groups as GroupId {
+            probe_boundary(partition, gid, |other| {
+                if stamp[other as usize] != gid {
+                    stamp[other as usize] = gid;
+                    neighbors.push(other);
+                }
+            });
+            offsets.push(neighbors.len() as u32);
+        }
+        return AdjacencyList::from_csr(offsets, neighbors);
     }
+    // Each chunk returns its groups' concatenated lists plus per-group
+    // degrees; chunks come back in submission order.
     let chunks = pool.par_map_chunks(n_groups, sr_par::fixed_grain(n_groups, 64), |range| {
-        range.map(|gid| group_neighbors(partition, gid as GroupId)).collect::<Vec<_>>()
+        let mut flat: Vec<u32> = Vec::with_capacity(4 * range.len());
+        let mut degrees: Vec<u32> = Vec::with_capacity(range.len());
+        for gid in range {
+            let start = flat.len();
+            probe_boundary(partition, gid as GroupId, |other| {
+                let listed = &flat[start..];
+                if listed.last() != Some(&other) && !listed.contains(&other) {
+                    flat.push(other);
+                }
+            });
+            degrees.push((flat.len() - start) as u32);
+        }
+        (flat, degrees)
     });
-    let mut neighbors: Vec<Vec<u32>> = Vec::with_capacity(n_groups);
-    for chunk in chunks {
-        neighbors.extend(chunk);
+    let mut neighbors: Vec<u32> = Vec::with_capacity(chunks.iter().map(|(f, _)| f.len()).sum());
+    let mut end = 0u32;
+    for (flat, degrees) in chunks {
+        neighbors.extend_from_slice(&flat);
+        for d in degrees {
+            end += d;
+            offsets.push(end);
+        }
     }
-    AdjacencyList::from_neighbors(neighbors)
-}
-
-/// Boundary probe of one group: the cells one step outside its four edges,
-/// deduplicated in probe order.
-///
-/// Dedup checks the most recent entry first — consecutive boundary cells
-/// along one edge usually border the *same* neighbor rectangle — then
-/// falls back to a linear scan of the (short) list; this keeps the probe
-/// allocation-free and independent of every other group, unlike the
-/// shared stamp array it replaces.
-fn group_neighbors(partition: &Partition, gid: GroupId) -> Vec<u32> {
-    let mut nlist: Vec<u32> = Vec::new();
-    probe_boundary(partition, gid, |other| {
-        if nlist.last() != Some(&other) && !nlist.contains(&other) {
-            nlist.push(other);
-        }
-    });
-    nlist
-}
-
-/// [`group_neighbors`] with a caller-owned stamp array (`stamp[g] == gid`
-/// marks `g` as already listed for the current group) — O(1) dedup for the
-/// serial path. Probe order, and thus the output, matches
-/// [`group_neighbors`] exactly.
-fn group_neighbors_stamped(partition: &Partition, gid: GroupId, stamp: &mut [u32]) -> Vec<u32> {
-    let mut nlist: Vec<u32> = Vec::new();
-    probe_boundary(partition, gid, |other| {
-        if stamp[other as usize] != gid {
-            stamp[other as usize] = gid;
-            nlist.push(other);
-        }
-    });
-    nlist
+    AdjacencyList::from_csr(offsets, neighbors)
 }
 
 /// Visits the group of every cell one step outside the four edges of
 /// `gid`'s rectangle, in the fixed probe order shared by both dedup
 /// strategies: top/bottom rows column by column, then left/right columns
-/// row by row.
+/// row by row. The parallel path dedups against the group's list so far
+/// (most recent entry first — consecutive boundary cells along one edge
+/// usually border the *same* neighbor rectangle), the serial path with a
+/// shared stamp array; both keep first-encounter order.
 fn probe_boundary(partition: &Partition, gid: GroupId, mut visit: impl FnMut(GroupId)) {
     let rows = partition.rows();
     let cols = partition.cols();

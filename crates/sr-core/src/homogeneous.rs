@@ -8,7 +8,7 @@
 //! too much information even at factor 2 (IFL > 0.4 on all datasets), which
 //! motivates the similarity-driven main framework.
 
-use crate::allocator::allocate_features;
+use crate::allocator::{allocate_features, GroupFeatures};
 use crate::ifl::partition_ifl;
 use crate::partition::{GroupId, GroupRect, Partition};
 use crate::{CoreError, Result};
@@ -53,7 +53,7 @@ pub fn block_partition(
 
 /// A merged grid: the partition, the allocated group features (`None` for
 /// null groups), and the resulting IFL.
-pub type MergedGrid = (Partition, Vec<Option<Vec<f64>>>, f64);
+pub type MergedGrid = (Partition, GroupFeatures, f64);
 
 /// Merges `grid` homogeneously by the given factors and returns the
 /// partition, the allocated group features, and the resulting IFL.
@@ -82,7 +82,7 @@ pub struct HomogeneousOutcome {
     /// exceeds the threshold, mirroring the main driver's fallback).
     pub partition: Partition,
     /// Allocated group features of the accepted partition.
-    pub features: Vec<Option<Vec<f64>>>,
+    pub features: GroupFeatures,
     /// IFL of the accepted partition.
     pub ifl: f64,
     /// The accepted merge factor (applied to both axes).
@@ -99,7 +99,7 @@ pub fn run_homogeneous(grid: &GridDataset, threshold: f64) -> Result<Homogeneous
         return Err(CoreError::InvalidThreshold(threshold));
     }
     let opts = IflOptions::default();
-    type Accepted = (Partition, Vec<Option<Vec<f64>>>, f64, usize);
+    type Accepted = (Partition, GroupFeatures, f64, usize);
     let mut accepted: Option<Accepted> = None;
     let mut attempts = Vec::new();
     let max_factor = grid.rows().min(grid.cols());

@@ -6,6 +6,7 @@
 //! is divided back by the group's member count, while an `Avg`-typed group
 //! value applies to each member directly.
 
+use crate::allocator::GroupFeatures;
 use crate::partition::Partition;
 use sr_grid::{AggType, CellId, GridDataset, IflOptions};
 
@@ -27,7 +28,7 @@ pub fn representative(group_value: f64, agg: AggType, members: usize) -> f64 {
 /// Computes the IFL (Eq. 3) between `original` and the re-partitioned
 /// dataset described by (`partition`, `group_features`).
 ///
-/// `group_features[g]` is the allocated feature vector of group `g`
+/// `group_features.row(g)` is the allocated feature vector of group `g`
 /// (`None` for null groups — these contain no valid cells and thus never
 /// contribute terms).
 ///
@@ -38,7 +39,7 @@ pub fn representative(group_value: f64, agg: AggType, members: usize) -> f64 {
 pub fn partition_ifl(
     original: &GridDataset,
     partition: &Partition,
-    group_features: &[Option<Vec<f64>>],
+    group_features: &GroupFeatures,
     opts: IflOptions,
 ) -> f64 {
     partition_ifl_with(original, partition, group_features, opts, sr_par::Pool::global())
@@ -48,29 +49,26 @@ pub fn partition_ifl(
 pub fn partition_ifl_with(
     original: &GridDataset,
     partition: &Partition,
-    group_features: &[Option<Vec<f64>>],
+    group_features: &GroupFeatures,
     opts: IflOptions,
     pool: &sr_par::Pool,
 ) -> f64 {
-    debug_assert_eq!(group_features.len(), partition.num_groups());
+    debug_assert_eq!(group_features.num_groups(), partition.num_groups());
     let p = original.num_attrs();
     let aggs = original.agg_types();
     let n_groups = partition.num_groups();
     let cells: Vec<CellId> = original.valid_cells().collect();
 
-    // Valid-member counts per group, needed to un-sum Sum attributes.
-    let mut valid_counts = vec![0usize; n_groups];
-    for &id in &cells {
-        valid_counts[partition.group_of(id) as usize] += 1;
-    }
-    // Per-(group, attribute) representatives, computed once. Null groups
-    // keep 0.0 — a valid cell can only live in a group with features, so
-    // those slots are never read for a term.
+    // Per-(group, attribute) representatives, computed once; the arena's
+    // valid-member counts un-sum Sum attributes. Null groups keep 0.0 — a
+    // valid cell can only live in a group with features, so those slots
+    // are never read for a term.
+    let valid_counts = group_features.valid_counts();
     let mut reps = vec![0.0f64; n_groups * p];
     for (g, feature) in group_features.iter().enumerate() {
         if let Some(fv) = feature {
             for k in 0..p {
-                reps[g * p + k] = representative(fv[k], aggs[k], valid_counts[g]);
+                reps[g * p + k] = representative(fv[k], aggs[k], valid_counts[g] as usize);
             }
         }
     }
@@ -430,7 +428,7 @@ mod tests {
         .unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[30.0][..]));
+        assert_eq!(feats.row(0), Some(&[30.0][..]));
         let ifl = partition_ifl(&g, &p, &feats, IflOptions::default());
         assert!((ifl - 0.375).abs() < 1e-12);
     }

@@ -19,15 +19,18 @@
 //!    ([`crate::extractor`]'s `scan_row`). Identical probe reads force
 //!    identical rectangles, so the replayed tiling equals a from-scratch
 //!    extraction bit for bit.
-//! 2. **Group-state reuse.** Per-group features, representatives, and the
-//!    Eq. 3 per-member subtotals are cached keyed by the group's rectangle
-//!    (the "content fingerprint": under a fixed grid, a rectangle *is* its
-//!    member set). An entry stays valid while no dirty cell lies inside the
-//!    rectangle; the IFL then re-folds the cached subtotals in canonical
-//!    cell order (`fold_cell_terms`), which the Eq. 3 kernel's two-level
-//!    grouping makes bit-identical to a live evaluation. Within one walk
-//!    (one-shot runs included) the cache also serves every threshold after
-//!    the first.
+//! 2. **Group-state reuse.** Per-group features and the Eq. 3 per-member
+//!    subtotals are cached keyed by the group's rectangle (the "content
+//!    fingerprint": under a fixed grid, a rectangle *is* its member set).
+//!    The cache is a flat arena (`RectArena`): one `f64` buffer holds every
+//!    entry's numbers, and a per-cell anchor index chains the few entries
+//!    anchored at each cell — no hashing, no per-entry allocation. An
+//!    entry stays valid while no dirty cell lies inside the rectangle; the
+//!    IFL then re-folds the cached subtotals in canonical cell order
+//!    (`fold_cell_terms`), which the Eq. 3 kernel's two-level grouping
+//!    makes bit-identical to a live evaluation. Within one walk (one-shot
+//!    runs included) the cache also serves every threshold after the
+//!    first, and the winner's features are copied straight out of it.
 //! 3. **Warm-started θ search.** The walk starts from the previously
 //!    accepted variation and expands outward
 //!    ([`Repartitioner::run_with_pool_warm`] runs the same hinted walk from
@@ -42,7 +45,7 @@
 //! rectangle cache survives — it is keyed on raw values and re-validated
 //! against the dirty region).
 
-use crate::allocator::{allocate_features_with, allocate_rect_into, GroupFeatures, Scratch};
+use crate::allocator::{allocate_rect_into, GroupFeatures, Scratch};
 use crate::extractor::{scan_row, EdgeVariations, VARIATION_SLACK};
 use crate::ifl::{cell_term_at, fold_cell_terms, representative, IflCellCache};
 use crate::incremental::ScanCache;
@@ -87,30 +90,141 @@ struct ThetaTrace {
     row_start: Vec<u32>,
 }
 
-/// Cached per-group state: allocated features and the Eq. 3 per-member
-/// subtotals, keyed by the group's rectangle.
-#[derive(Debug, Clone)]
+/// End of an anchor chain / "no cache entry" marker (singleton groups
+/// never get one: their Eq. 3 terms are exact zeros).
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One cached group: its rectangle, where its numbers live in
+/// [`RectArena::data`], and which run last used it.
+#[derive(Debug, Clone, Copy)]
 struct RectEntry {
+    rect: GroupRect,
     /// Last run that used (and thereby revalidated) the entry.
     epoch: u64,
+    /// Start of the entry's numbers in the arena: the allocated feature
+    /// vector (`p` values; zeros for a null group) followed by one Eq. 3
+    /// subtotal per valid member, in row-major member order. The subtotals
+    /// are all zero when `valid_count == 1` (the Eq. 3 kernel skips such
+    /// groups — their terms are exact zeros).
+    offset: usize,
     /// Valid members of the group (0 = null group).
     valid_count: u32,
-    /// The allocated feature vector (`p` values; zeros for a null group)
-    /// followed by one Eq. 3 subtotal per valid member, in row-major member
-    /// order. The subtotals are all zero when `valid_count == 1` (the Eq. 3
-    /// kernel skips such groups — their terms are exact zeros). One
-    /// allocation per entry: a one-shot walk over a 100k-cell grid caches
-    /// tens of thousands of groups.
-    data: Box<[f64]>,
+    /// Next entry anchored at the same cell, or [`NO_ENTRY`].
+    next: u32,
 }
 
-impl RectEntry {
-    fn features(&self) -> &[f64] {
-        &self.data[..self.data.len() - self.valid_count as usize]
+/// The per-group cache: a hash-free arena of [`RectEntry`] records over
+/// one shared `f64` buffer. Lookups walk the short chain of entries
+/// anchored at the rectangle's top-left cell (one per distinct extent the
+/// walk produced there); scoring then hands entry indices around, so the
+/// scatter and the winner's materialization do no lookups at all.
+#[derive(Debug, Default)]
+struct RectArena {
+    /// Attribute count the entries were built with.
+    p: usize,
+    cols: usize,
+    /// Every entry's numbers (see [`RectEntry::offset`]). A rebuilt entry
+    /// appends fresh numbers and abandons its old span until the end-of-run
+    /// compaction.
+    data: Vec<f64>,
+    entries: Vec<RectEntry>,
+    /// Per cell (row-major): the first entry anchored there, or
+    /// [`NO_ENTRY`].
+    anchor_head: Vec<u32>,
+    /// Compaction target, swapped with `data` by
+    /// [`RectArena::retain_epoch`] so steady-state runs reuse both buffers.
+    spare: Vec<f64>,
+}
+
+impl RectArena {
+    /// Sizes the anchor index for a `rows × cols` grid with `p`
+    /// attributes, dropping every entry if the shape changed.
+    fn prepare(&mut self, rows: usize, cols: usize, p: usize) {
+        if self.anchor_head.len() != rows * cols || self.cols != cols || self.p != p {
+            *self = RectArena {
+                p,
+                cols,
+                anchor_head: vec![NO_ENTRY; rows * cols],
+                ..Default::default()
+            };
+        }
     }
 
-    fn terms(&self) -> &[f64] {
-        &self.data[self.data.len() - self.valid_count as usize..]
+    /// The entry caching `rect`, if any.
+    #[inline]
+    fn find(&self, rect: GroupRect) -> Option<u32> {
+        let mut i = self.anchor_head[rect.r0 as usize * self.cols + rect.c0 as usize];
+        while i != NO_ENTRY {
+            let e = &self.entries[i as usize];
+            if e.rect == rect {
+                return Some(i);
+            }
+            i = e.next;
+        }
+        None
+    }
+
+    /// Allocated feature vector of entry `i`.
+    #[inline]
+    fn features(&self, i: u32) -> &[f64] {
+        let e = &self.entries[i as usize];
+        &self.data[e.offset..e.offset + self.p]
+    }
+
+    /// Eq. 3 per-member subtotals of entry `i`.
+    #[inline]
+    fn terms(&self, i: u32) -> &[f64] {
+        let e = &self.entries[i as usize];
+        let start = e.offset + self.p;
+        &self.data[start..start + e.valid_count as usize]
+    }
+
+    /// Records numbers already appended at `data[offset..]` for `rect`:
+    /// repoints `stale` (an outdated entry of the same rectangle) or links
+    /// a new entry into the anchor chain. Returns the entry index.
+    fn commit(
+        &mut self,
+        rect: GroupRect,
+        stale: Option<u32>,
+        epoch: u64,
+        offset: usize,
+        valid_count: u32,
+    ) -> u32 {
+        if let Some(i) = stale {
+            let e = &mut self.entries[i as usize];
+            (e.epoch, e.offset, e.valid_count) = (epoch, offset, valid_count);
+            return i;
+        }
+        let idx = self.entries.len() as u32;
+        let head = &mut self.anchor_head[rect.r0 as usize * self.cols + rect.c0 as usize];
+        self.entries.push(RectEntry { rect, epoch, offset, valid_count, next: *head });
+        *head = idx;
+        idx
+    }
+
+    /// End-of-run eviction: keeps exactly the entries used in run `epoch`,
+    /// compacting their numbers into the spare buffer and rebuilding the
+    /// anchor chains.
+    fn retain_epoch(&mut self, epoch: u64) {
+        self.spare.clear();
+        self.anchor_head.fill(NO_ENTRY);
+        let mut kept = 0usize;
+        for i in 0..self.entries.len() {
+            let e = self.entries[i];
+            if e.epoch != epoch {
+                continue;
+            }
+            let offset = self.spare.len();
+            self.spare.extend_from_slice(
+                &self.data[e.offset..e.offset + self.p + e.valid_count as usize],
+            );
+            let head = &mut self.anchor_head[e.rect.r0 as usize * self.cols + e.rect.c0 as usize];
+            self.entries[kept] = RectEntry { offset, next: *head, ..e };
+            *head = kept as u32;
+            kept += 1;
+        }
+        self.entries.truncate(kept);
+        std::mem::swap(&mut self.data, &mut self.spare);
     }
 }
 
@@ -126,7 +240,7 @@ pub struct LocalizedState {
     /// validity rule.
     epoch: u64,
     traces: HashMap<u64, ThetaTrace>,
-    rect_cache: HashMap<GroupRect, RectEntry>,
+    arena: RectArena,
     hint: Option<f64>,
     ready: bool,
     last_fallback: bool,
@@ -383,97 +497,121 @@ fn replay_trace(
     ThetaTrace { epoch, rects, reach, run_width, row_start }
 }
 
-/// Builds the cached state of one multi-cell group: allocated features,
-/// representatives, and the Eq. 3 per-member subtotals — the same
-/// `allocate_rect_into` / [`representative`] / [`cell_term_at`] pipeline
-/// the whole-partition kernels (`GroupFeatures::allocate_with`,
-/// `partition_ifl_with`) run, so every stored number matches their bits.
-#[allow(clippy::too_many_arguments)]
-fn build_rect_entry(
-    grid: &GridDataset,
-    cache: &IflCellCache,
-    aggs: &[AggType],
+/// The read-only inputs of group scoring: the grid, the Eq. 3 cell cache,
+/// and the cell → valid-cell-position index the subtotal plane is keyed by.
+struct GroupInputs<'a> {
+    grid: &'a GridDataset,
+    cache: &'a IflCellCache,
+    aggs: &'a [AggType],
     p: usize,
     has_mode: bool,
-    pos_of: &[u32],
+    pos_of: &'a [u32],
     cols: usize,
-    rect: GroupRect,
-    epoch: u64,
-    scratch: &mut Scratch,
-    feat_tmp: &mut Vec<f64>,
-) -> RectEntry {
-    feat_tmp.clear();
-    let count = allocate_rect_into(grid, rect, scratch, feat_tmp);
-    let mut data = Vec::with_capacity(p + count);
-    data.extend_from_slice(feat_tmp);
-    if count > 1 {
-        // Stash the representative row behind the features in the same
-        // buffer (indices p..2p).
-        for k in 0..p {
-            let rep = representative(feat_tmp[k], aggs[k], count);
-            feat_tmp.push(rep);
+}
+
+impl GroupInputs<'_> {
+    /// Builds the cached state of one multi-cell group — allocated
+    /// features, then the Eq. 3 per-member subtotals — appending `p +
+    /// valid_count` numbers to `out` and returning the valid-member count.
+    /// It runs the same `allocate_rect_into` / [`representative`] /
+    /// [`cell_term_at`] pipeline the whole-partition kernels
+    /// (`GroupFeatures::allocate_with`, `partition_ifl_with`) run, so every
+    /// stored number matches their bits. `reps` is scratch for the
+    /// representative row.
+    fn build_entry(
+        &self,
+        rect: GroupRect,
+        scratch: &mut Scratch,
+        reps: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) -> u32 {
+        let p = self.p;
+        let start = out.len();
+        let count = allocate_rect_into(self.grid, rect, scratch, out);
+        if count > 1 {
+            reps.clear();
+            reps.extend((0..p).map(|k| representative(out[start + k], self.aggs[k], count)));
+            for rr in rect.r0 as usize..=rect.r1 as usize {
+                let base = rr * self.cols;
+                for cc in rect.c0 as usize..=rect.c1 as usize {
+                    let pos = self.pos_of[base + cc];
+                    if pos != u32::MAX {
+                        out.push(cell_term_at(
+                            self.cache,
+                            pos as usize,
+                            reps,
+                            self.aggs,
+                            self.has_mode,
+                            p,
+                        ));
+                    }
+                }
+            }
+        } else {
+            // 0 or 1 valid member: the Eq. 3 kernel contributes nothing for
+            // these groups (single-member terms are exact zeros).
+            out.resize(start + p + count, 0.0);
         }
+        count as u32
+    }
+
+    /// Copies one group's cached per-member subtotals into the subtotal
+    /// plane, in member scan order (the order [`GroupInputs::build_entry`]
+    /// recorded them).
+    fn scatter(&self, terms: &mut [f64], rect: GroupRect, src: &[f64]) {
+        let mut j = 0usize;
         for rr in rect.r0 as usize..=rect.r1 as usize {
-            let base = rr * cols;
+            let base = rr * self.cols;
             for cc in rect.c0 as usize..=rect.c1 as usize {
-                let pos = pos_of[base + cc];
+                let pos = self.pos_of[base + cc];
                 if pos != u32::MAX {
-                    data.push(cell_term_at(
-                        cache,
-                        pos as usize,
-                        &feat_tmp[p..2 * p],
-                        aggs,
-                        has_mode,
-                        p,
-                    ));
+                    terms[pos as usize] = src[j];
+                    j += 1;
                 }
             }
         }
-    } else {
-        // 0 or 1 valid member: the Eq. 3 kernel contributes nothing for
-        // these groups (single-member terms are exact zeros).
-        data.resize(p + count, 0.0);
+        debug_assert_eq!(j, src.len());
     }
-    RectEntry { epoch, valid_count: count as u32, data: data.into_boxed_slice() }
 }
 
 /// Scores one extracted tiling: per-group subtotals — cached where the
 /// rectangle is untouched by dirt, rebuilt otherwise — scattered into the
-/// per-cell subtotal plane and folded in canonical order.
+/// per-cell subtotal plane and folded in canonical order. Writes the arena
+/// entry of every rectangle (or [`NO_ENTRY`] for singletons) to `entries`.
 ///
 /// The subtotal plane (`terms`) persists across the evaluations of one
 /// run, and `prev_rects` is the tiling the previous evaluation scored into
-/// it (empty on the first). A rectangle present in both tilings already
-/// has its members' subtotals in the plane — the same grid and the same
-/// member set produce the same numbers — so it is skipped outright, before
-/// any cache probe. Nearby thresholds share almost their whole tiling,
-/// which turns the scatter from O(cells) into O(changed groups).
+/// it (empty on the first), with its entries in `prev_entries`. A
+/// rectangle present in both tilings already has its members' subtotals in
+/// the plane — the same grid and the same member set produce the same
+/// numbers — so it is skipped outright, before any cache probe. Nearby
+/// thresholds share almost their whole tiling, which turns the scatter
+/// from O(cells) into O(changed groups).
 #[allow(clippy::too_many_arguments)]
 fn score_trace(
-    grid: &GridDataset,
-    cache: &IflCellCache,
-    aggs: &[AggType],
-    p: usize,
-    has_mode: bool,
-    pos_of: &[u32],
-    cols: usize,
+    inputs: &GroupInputs<'_>,
     trace_rects: &[GroupRect],
     prev_rects: &[GroupRect],
-    rect_cache: &mut HashMap<GroupRect, RectEntry>,
+    prev_entries: &[u32],
+    arena: &mut RectArena,
+    entries: &mut Vec<u32>,
     prefix: &[u32],
     epoch: u64,
     scratch: &mut Scratch,
-    feat_tmp: &mut Vec<f64>,
+    reps: &mut Vec<f64>,
     terms: &mut [f64],
     reused: &mut u64,
     pool: &sr_par::Pool,
 ) -> f64 {
+    let cols = inputs.cols;
     // Merge cursor into `prev_rects`; both tilings are strictly ascending
     // by anchor (r0, c0), so one forward pass pairs them up.
     let anchor = |rect: GroupRect| ((rect.r0 as u64) << 32) | rect.c0 as u64;
     let mut pi = 0usize;
-    let mut to_scatter: Vec<GroupRect> = Vec::new();
-    let mut to_build: Vec<GroupRect> = Vec::new();
+    entries.clear();
+    let mut to_scatter: Vec<u32> = Vec::new();
+    // (rect, stale entry of the same rectangle, slot in `entries`).
+    let mut to_build: Vec<(GroupRect, Option<u32>, usize)> = Vec::new();
     for &rect in trace_rects {
         let key = anchor(rect);
         while pi < prev_rects.len() && anchor(prev_rects[pi]) < key {
@@ -481,6 +619,7 @@ fn score_trace(
         }
         if pi < prev_rects.len() && prev_rects[pi] == rect {
             // Unchanged group: its subtotals are already in the plane.
+            entries.push(prev_entries[pi]);
             pi += 1;
             if rect.r0 != rect.r1 || rect.c0 != rect.c1 {
                 *reused += 1;
@@ -489,18 +628,19 @@ fn score_trace(
         }
         if rect.r0 == rect.r1 && rect.c0 == rect.c1 {
             // Singleton: a skipped (exact-zero) term; not worth an entry.
-            let pos = pos_of[rect.r0 as usize * cols + rect.c0 as usize];
+            let pos = inputs.pos_of[rect.r0 as usize * cols + rect.c0 as usize];
             if pos != u32::MAX {
                 terms[pos as usize] = 0.0;
             }
+            entries.push(NO_ENTRY);
             continue;
         }
-        match rect_cache.get_mut(&rect) {
+        match arena.find(rect) {
             // Within-run hits are always valid (the grid is fixed for the
             // whole walk); cross-run entries are valid while no dirty cell
             // lies inside the rectangle.
-            Some(e)
-                if e.epoch == epoch
+            Some(i)
+                if arena.entries[i as usize].epoch == epoch
                     || !dirty_in_box(
                         prefix,
                         cols,
@@ -510,83 +650,56 @@ fn score_trace(
                         rect.c1 as usize,
                     ) =>
             {
-                e.epoch = epoch;
+                arena.entries[i as usize].epoch = epoch;
                 *reused += 1;
-                to_scatter.push(rect);
+                to_scatter.push(i);
+                entries.push(i);
             }
-            _ => to_build.push(rect),
+            stale => {
+                to_build.push((rect, stale, entries.len()));
+                entries.push(NO_ENTRY);
+            }
         }
     }
     // Rebuilds dominate the first evaluation after a dirty batch (every
     // group the dirt touched), and each one is self-contained — the feature
     // fold and term loop read only the grid and the cell cache — so fan
-    // them out. Chunk results come back in submission order; insertion and
-    // scatter stay serial, and the plane writes of a tiling are disjoint,
-    // so the plane ends up bit-identical to a serial pass.
+    // them out. Chunk results come back in submission order and are
+    // appended to the arena serially, and the plane writes of a tiling are
+    // disjoint, so arena and plane end up bit-identical to a serial pass.
     if to_build.len() >= 16 && pool.threads() > 1 {
         let grain = sr_par::fixed_grain(to_build.len(), 4 * pool.threads());
-        let built: Vec<Vec<RectEntry>> = pool.par_map_chunks(to_build.len(), grain, |range| {
-            let mut scratch = Scratch::new(p);
-            let mut feat = Vec::new();
-            range
-                .map(|i| {
-                    build_rect_entry(
-                        grid,
-                        cache,
-                        aggs,
-                        p,
-                        has_mode,
-                        pos_of,
-                        cols,
-                        to_build[i],
-                        epoch,
-                        &mut scratch,
-                        &mut feat,
-                    )
-                })
-                .collect()
+        let built = pool.par_map_chunks(to_build.len(), grain, |range| {
+            let mut scratch = Scratch::new(inputs.p);
+            let mut reps = Vec::new();
+            let mut data = Vec::new();
+            let counts: Vec<u32> = range
+                .map(|i| inputs.build_entry(to_build[i].0, &mut scratch, &mut reps, &mut data))
+                .collect();
+            (data, counts)
         });
-        for (&rect, entry) in to_build.iter().zip(built.into_iter().flatten()) {
-            scatter_entry(terms, pos_of, cols, rect, &entry);
-            rect_cache.insert(rect, entry);
-        }
-    } else {
-        for &rect in &to_build {
-            let entry = build_rect_entry(
-                grid, cache, aggs, p, has_mode, pos_of, cols, rect, epoch, scratch, feat_tmp,
-            );
-            scatter_entry(terms, pos_of, cols, rect, &entry);
-            rect_cache.insert(rect, entry);
-        }
-    }
-    for &rect in &to_scatter {
-        scatter_entry(terms, pos_of, cols, rect, &rect_cache[&rect]);
-    }
-    fold_cell_terms(terms, cache.terms(), pool)
-}
-
-/// Copies one group's cached per-member subtotals into the subtotal plane,
-/// in member scan order (the order [`build_rect_entry`] recorded them).
-fn scatter_entry(
-    terms: &mut [f64],
-    pos_of: &[u32],
-    cols: usize,
-    rect: GroupRect,
-    entry: &RectEntry,
-) {
-    let src = entry.terms();
-    let mut j = 0usize;
-    for rr in rect.r0 as usize..=rect.r1 as usize {
-        let base = rr * cols;
-        for cc in rect.c0 as usize..=rect.c1 as usize {
-            let pos = pos_of[base + cc];
-            if pos != u32::MAX {
-                terms[pos as usize] = src[j];
-                j += 1;
+        let mut jobs = to_build.iter();
+        for (data, counts) in built {
+            let mut offset = arena.data.len();
+            arena.data.extend_from_slice(&data);
+            for (count, &(rect, stale, slot)) in counts.into_iter().zip(jobs.by_ref()) {
+                entries[slot] = arena.commit(rect, stale, epoch, offset, count);
+                to_scatter.push(entries[slot]);
+                offset += inputs.p + count as usize;
             }
         }
+    } else {
+        for &(rect, stale, slot) in &to_build {
+            let offset = arena.data.len();
+            let count = inputs.build_entry(rect, scratch, reps, &mut arena.data);
+            entries[slot] = arena.commit(rect, stale, epoch, offset, count);
+            to_scatter.push(entries[slot]);
+        }
     }
-    debug_assert_eq!(j, src.len());
+    for &i in &to_scatter {
+        inputs.scatter(terms, arena.entries[i as usize].rect, arena.terms(i));
+    }
+    fold_cell_terms(terms, inputs.cache.terms(), pool)
 }
 
 /// Retains a freshly recorded trace, respecting the size caps: oversized
@@ -610,34 +723,29 @@ fn store_trace(traces: &mut HashMap<u64, ThetaTrace>, key: u64, trace: ThetaTrac
 }
 
 /// Materializes the winning tiling: the partition from the rectangles
-/// (scan order = group-id order) and the feature arena from cached
-/// entries, falling back to a live allocation on a cache miss.
+/// (scan order = group-id order) and the feature arena copied from the
+/// winner's cache entries; singletons, which have none, keep their cell's
+/// values (`allocate_rect_into`'s single-cell path).
 fn materialize(
     grid: &GridDataset,
     winner: Vec<GroupRect>,
-    rect_cache: &HashMap<GroupRect, RectEntry>,
-    epoch: u64,
+    winner_entries: &[u32],
+    arena: &RectArena,
     scratch: &mut Scratch,
 ) -> (Partition, GroupFeatures) {
     let p = grid.num_attrs();
     let mut values = Vec::with_capacity(winner.len() * p);
     let mut counts = Vec::with_capacity(winner.len());
-    for &rect in &winner {
-        match rect_cache.get(&rect) {
-            // Entries touched this run hold exactly what a live allocation
-            // would produce for the current grid.
-            Some(e) if e.epoch == epoch => {
-                values.extend_from_slice(e.features());
-                counts.push(e.valid_count);
-            }
-            _ => {
-                let c = allocate_rect_into(grid, rect, scratch, &mut values);
-                counts.push(c as u32);
-            }
+    for (&rect, &e) in winner.iter().zip(winner_entries) {
+        if e == NO_ENTRY {
+            counts.push(allocate_rect_into(grid, rect, scratch, &mut values) as u32);
+        } else {
+            values.extend_from_slice(arena.features(e));
+            counts.push(arena.entries[e as usize].valid_count);
         }
     }
     let partition = Partition::from_rects(grid.rows(), grid.cols(), winner);
-    (partition, GroupFeatures::from_raw(p, values, counts))
+    (partition, GroupFeatures::from_flat(p, values, counts))
 }
 
 impl Repartitioner {
@@ -704,7 +812,7 @@ impl Repartitioner {
         state.last_reused = reused;
         let epoch = state.epoch;
         state.traces.retain(|_, t| t.epoch == epoch);
-        state.rect_cache.retain(|_, e| e.epoch == epoch);
+        state.arena.retain_epoch(epoch);
 
         run_span.record("groups", outcome.repartitioned.num_groups());
         run_span.record("ifl", outcome.repartitioned.ifl());
@@ -763,10 +871,10 @@ impl Repartitioner {
         state.replay.bot_old.resize(cols, 0);
         state.replay.in_diff.resize(cols, false);
         let p = grid.num_attrs();
-        let aggs = grid.agg_types().to_vec();
-        let has_mode = aggs.contains(&AggType::Mode);
+        state.arena.prepare(rows, cols, p);
+        let aggs = grid.agg_types();
         let mut scratch = Scratch::new(p);
-        let mut feat_tmp: Vec<f64> = Vec::new();
+        let mut reps: Vec<f64> = Vec::new();
 
         let metrics = sr_obs::Registry::global();
         let iterations_total = metrics.counter("repartition.iterations_total");
@@ -774,19 +882,31 @@ impl Repartitioner {
         let mut iterations: Vec<IterationStats> = Vec::new();
         let mut best: Option<(f64, f64, usize)> = None; // (θ, ifl, groups)
         let mut winner_rects: Vec<GroupRect> = Vec::new();
+        let mut winner_entries: Vec<u32> = Vec::new();
         let mut reused: u64 = 0;
         let threshold = self.threshold();
 
         let walk = {
             let traces = &mut state.traces;
-            let rect_cache = &mut state.rect_cache;
+            let arena = &mut state.arena;
             let prefix = &state.prefix_buf;
-            let pos_of = &state.pos_of;
+            let inputs = GroupInputs {
+                grid,
+                cache: ifl_cache,
+                aggs,
+                p,
+                has_mode: aggs.contains(&AggType::Mode),
+                pos_of: &state.pos_of,
+                cols,
+            };
             let terms = &mut state.terms;
             let rs = &mut state.replay;
-            // The tiling the subtotal plane currently holds (walk-scoped:
-            // the plane persists across the evaluations of one run).
+            // The tiling the subtotal plane currently holds, with its arena
+            // entries (walk-scoped: the plane persists across the
+            // evaluations of one run).
             let mut prev_rects: Vec<GroupRect> = Vec::new();
+            let mut prev_entries: Vec<u32> = Vec::new();
+            let mut entries: Vec<u32> = Vec::new();
             let mut evaluate = |theta: f64| -> IterationStats {
                 let key = theta.to_bits();
                 let accept = theta + VARIATION_SLACK;
@@ -815,29 +935,21 @@ impl Repartitioner {
                 drop(ex_span);
                 let sc_span = sr_obs::span("repartition.score");
                 let ifl = score_trace(
-                    grid,
-                    ifl_cache,
-                    &aggs,
-                    p,
-                    has_mode,
-                    pos_of,
-                    cols,
+                    &inputs,
                     &trace.rects,
                     &prev_rects,
-                    rect_cache,
+                    &prev_entries,
+                    arena,
+                    &mut entries,
                     prefix,
                     epoch,
                     &mut scratch,
-                    &mut feat_tmp,
+                    &mut reps,
                     terms,
                     &mut reused,
                     pool,
                 );
                 drop(sc_span);
-                prev_rects.clear();
-                if trace.rects.len() <= MAX_TRACE_RECTS {
-                    prev_rects.extend_from_slice(&trace.rects);
-                }
                 let accepted = ifl <= threshold;
                 iterations_total.inc();
                 if !accepted {
@@ -847,9 +959,18 @@ impl Repartitioner {
                     best = Some((theta, ifl, num_groups));
                     winner_rects.clear();
                     winner_rects.extend_from_slice(&trace.rects);
+                    winner_entries.clear();
+                    winner_entries.extend_from_slice(&entries);
                 }
-                if keep_traces {
+                std::mem::swap(&mut prev_entries, &mut entries);
+                if keep_traces && trace.rects.len() <= MAX_TRACE_RECTS {
+                    prev_rects.clear();
+                    prev_rects.extend_from_slice(&trace.rects);
                     store_trace(traces, key, trace);
+                } else {
+                    // Not retained across runs (one-shot walk, or a trace
+                    // too large to keep): the tiling moves into `prev`.
+                    prev_rects = trace.rects;
                 }
                 IterationStats { min_adjacent_variation: theta, num_groups, ifl, accepted }
             };
@@ -864,14 +985,14 @@ impl Repartitioner {
         let repartitioned = match best {
             Some((theta, ifl, _)) => {
                 let (partition, features) =
-                    materialize(grid, winner_rects, &state.rect_cache, epoch, &mut scratch);
-                Repartitioned::from_parts(grid, partition, features.into_options(), ifl, theta)
+                    materialize(grid, winner_rects, &winner_entries, &state.arena, &mut scratch);
+                Repartitioned::from_parts(grid, partition, features, ifl, theta)
             }
             // Nothing accepted (or no adjacent pairs): the identity
             // partition, whose IFL is exactly zero.
             None => {
                 let partition = Partition::identity(rows, cols);
-                let features = allocate_features_with(grid, &partition, pool);
+                let features = GroupFeatures::allocate_with(grid, &partition, pool);
                 Repartitioned::from_parts(grid, partition, features, 0.0, 0.0)
             }
         };
@@ -1074,5 +1195,170 @@ mod tests {
         drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
         assert!(!state.last_run_was_fallback());
         assert!(state.last_reused_groups() > 0, "expected rect-cache hits");
+    }
+
+    /// Pinned per-round rect-cache hits of a seeded localized sequence —
+    /// the counts the `HashMap`-keyed cache produced before the arena
+    /// replaced it.
+    #[test]
+    fn reuse_counts_are_pinned() {
+        let strategy = IterationStrategy::Exponential { initial_stride: 2, growth: 1.7 };
+        let drv = driver(0.03, strategy);
+        let pool = sr_par::Pool::new(1);
+        let mut grid = smooth_grid(30, 30, 21);
+        let mut scan = ScanCache::build(&grid, drv.ifl_options());
+        let mut state = LocalizedState::new();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut reused = Vec::new();
+        for round in 0..3 {
+            let dirty: Vec<CellId> = if round == 0 {
+                Vec::new()
+            } else {
+                (0..9).map(|_| rng.gen_range(0..grid.num_cells()) as CellId).collect()
+            };
+            for &id in &dirty {
+                let v = grid.value(id, 0) + rng.gen_range(-0.3..0.3);
+                grid.set_value(id, 0, v);
+            }
+            if scan.update(&grid, &dirty).rebuilt_normalization {
+                state.invalidate();
+            }
+            drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
+            reused.push(state.last_reused_groups());
+        }
+        assert_eq!(reused, vec![723, 14, 42]);
+    }
+
+    fn rect(r0: u32, r1: u32, c0: u32, c1: u32) -> GroupRect {
+        GroupRect { r0, r1, c0, c1 }
+    }
+
+    /// Two rectangles anchored at the same cell (the tilings of two
+    /// thresholds) get separate arena entries on one anchor chain, and
+    /// both are served from the cache when their tiling comes back.
+    #[test]
+    fn rects_sharing_an_anchor_both_hit() {
+        let grid = smooth_grid(2, 3, 4);
+        let scan = ScanCache::build(&grid, sr_grid::IflOptions::default());
+        let pos_of: Vec<u32> = (0..6).collect();
+        let inputs = GroupInputs {
+            grid: &grid,
+            cache: scan.ifl_cache(),
+            aggs: grid.agg_types(),
+            p: 1,
+            has_mode: false,
+            pos_of: &pos_of,
+            cols: 3,
+        };
+        let mut arena = RectArena::default();
+        arena.prepare(2, 3, 1);
+        let prefix = vec![0u32; 3 * 4];
+        let (mut scratch, mut reps, mut terms) = (Scratch::new(1), Vec::new(), vec![0.0; 6]);
+        let fine = vec![rect(0, 1, 0, 1), rect(0, 1, 2, 2)];
+        let coarse = vec![rect(0, 1, 0, 2)];
+        let pool = sr_par::Pool::new(1);
+        let mut prev: (Vec<GroupRect>, Vec<u32>) = (Vec::new(), Vec::new());
+        let mut hits = Vec::new();
+        for tiling in [&fine, &coarse, &fine, &coarse] {
+            let mut reused = 0u64;
+            let mut entries = Vec::new();
+            score_trace(
+                &inputs,
+                tiling,
+                &prev.0,
+                &prev.1,
+                &mut arena,
+                &mut entries,
+                &prefix,
+                1,
+                &mut scratch,
+                &mut reps,
+                &mut terms,
+                &mut reused,
+                &pool,
+            );
+            hits.push(reused);
+            prev = (tiling.to_vec(), entries);
+        }
+        assert_eq!(hits, vec![0, 0, 2, 1]);
+        assert_eq!(arena.entries.len(), 3);
+        let (a, b) = (arena.find(fine[0]).unwrap(), arena.find(coarse[0]).unwrap());
+        assert_ne!(a, b);
+        assert_eq!(arena.anchor_head[0], b);
+        assert_eq!(arena.entries[b as usize].next, a);
+        let mut fresh = Vec::new();
+        inputs.build_entry(fine[0], &mut scratch, &mut reps, &mut fresh);
+        assert_eq!(arena.features(a), &fresh[..1]);
+        assert_eq!(arena.terms(a), &fresh[1..]);
+    }
+
+    /// After a run, the arena holds exactly the non-singleton rectangles of
+    /// the tilings that run evaluated, and every entry's numbers equal a
+    /// fresh build bit for bit.
+    #[test]
+    fn arena_holds_exactly_the_run_entries() {
+        let strategy = IterationStrategy::Exponential { initial_stride: 2, growth: 1.7 };
+        let drv = driver(0.05, strategy);
+        let pool = sr_par::Pool::new(2);
+        let mut grid = smooth_grid(20, 22, 8);
+        grid.set_null(45);
+        let mut scan = ScanCache::build(&grid, drv.ifl_options());
+        let mut state = LocalizedState::new();
+        let mut rng = SmallRng::seed_from_u64(9);
+        for round in 0..3 {
+            let dirty: Vec<CellId> = if round == 0 {
+                Vec::new()
+            } else {
+                (0..6).map(|_| rng.gen_range(0..grid.num_cells()) as CellId).collect()
+            };
+            for &id in &dirty {
+                let v = grid.value(id, 0) + rng.gen_range(-0.5..0.5);
+                grid.set_value(id, 0, v);
+            }
+            if scan.update(&grid, &dirty).rebuilt_normalization {
+                state.invalidate();
+            }
+            let out = drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
+            let mut thetas: Vec<u64> =
+                out.iterations.iter().map(|it| it.min_adjacent_variation.to_bits()).collect();
+            thetas.sort_unstable();
+            thetas.dedup();
+            assert_eq!(state.traces.len(), thetas.len(), "every evaluated trace retained");
+
+            let mut touched: Vec<GroupRect> = state
+                .traces
+                .values()
+                .flat_map(|t| t.rects.iter().copied())
+                .filter(|r| r.len() > 1)
+                .collect();
+            let key = |r: &GroupRect| (r.r0, r.r1, r.c0, r.c1);
+            touched.sort_unstable_by_key(key);
+            touched.dedup();
+            let arena = &state.arena;
+            let mut held: Vec<GroupRect> = arena.entries.iter().map(|e| e.rect).collect();
+            held.sort_unstable_by_key(key);
+            assert_eq!(held, touched, "round {round}");
+            assert!(arena.entries.iter().all(|e| e.epoch == state.epoch));
+
+            let inputs = GroupInputs {
+                grid: &grid,
+                cache: scan.ifl_cache(),
+                aggs: grid.agg_types(),
+                p: 1,
+                has_mode: false,
+                pos_of: &state.pos_of,
+                cols: grid.cols(),
+            };
+            let (mut scratch, mut reps) = (Scratch::new(1), Vec::new());
+            for (i, e) in arena.entries.iter().enumerate() {
+                assert_eq!(arena.find(e.rect), Some(i as u32));
+                let mut fresh = Vec::new();
+                let count = inputs.build_entry(e.rect, &mut scratch, &mut reps, &mut fresh);
+                assert_eq!(count, e.valid_count);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let stored = &arena.data[e.offset..e.offset + 1 + count as usize];
+                assert_eq!(bits(stored), bits(&fresh), "entry {i} ({:?})", e.rect);
+            }
+        }
     }
 }

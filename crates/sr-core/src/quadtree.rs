@@ -189,6 +189,6 @@ mod tests {
         assert!(ifl.is_finite() && ifl >= 0.0);
         // Null cell isolated in a null leaf.
         let null_group = p.group_of(99);
-        assert!(feats[null_group as usize].is_none());
+        assert!(feats.row(null_group as usize).is_none());
     }
 }

@@ -7,6 +7,7 @@
 //! member cell, `Sum` group values are divided by the member count (paper
 //! Example 7: a 2-cell Sum group valued 54 reconstructs to 27 per cell).
 
+use crate::allocator::GroupFeatures;
 use crate::ifl::representative;
 use crate::partition::Partition;
 use sr_grid::{GridDataset, Result};
@@ -20,25 +21,21 @@ use sr_grid::{GridDataset, Result};
 pub fn reconstruct_grid(
     original: &GridDataset,
     partition: &Partition,
-    group_features: &[Option<Vec<f64>>],
+    group_features: &GroupFeatures,
 ) -> Result<GridDataset> {
     let p = original.num_attrs();
     let n_cells = original.num_cells();
     let aggs = original.agg_types();
 
-    let mut valid_counts = vec![0usize; partition.num_groups()];
-    for id in original.valid_cells() {
-        valid_counts[partition.group_of(id) as usize] += 1;
-    }
-
     let mut data = vec![0.0f64; n_cells * p];
     let mut valid = vec![false; n_cells];
     for id in original.valid_cells() {
         let g = partition.group_of(id) as usize;
-        if let Some(fv) = &group_features[g] {
+        if let Some(fv) = group_features.row(g) {
             valid[id as usize] = true;
             for (k, &gv) in fv.iter().enumerate() {
-                data[id as usize * p + k] = representative(gv, aggs[k], valid_counts[g]);
+                data[id as usize * p + k] =
+                    representative(gv, aggs[k], group_features.valid_count(g));
             }
         }
     }
@@ -81,7 +78,7 @@ mod tests {
         .unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[54.0][..]));
+        assert_eq!(feats.row(0), Some(&[54.0][..]));
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert_eq!(rec.features(0).unwrap(), &[27.0]);
         assert_eq!(rec.features(1).unwrap(), &[27.0]);

@@ -22,6 +22,7 @@
 //! across runs. A fresh-state run with the same hint is the bit-exact
 //! reference for the carried-state one.
 
+use crate::allocator::GroupFeatures;
 use crate::group_adjacency::group_adjacency;
 use crate::incremental::ScanCache;
 use crate::partition::{GroupId, Partition};
@@ -113,7 +114,7 @@ pub struct IterationStats {
 #[derive(Debug, Clone)]
 pub struct Repartitioned {
     partition: Partition,
-    features: Vec<Option<Vec<f64>>>,
+    features: GroupFeatures,
     ifl: f64,
     min_adjacent_variation: f64,
     attr_names: Vec<String>,
@@ -126,7 +127,7 @@ impl Repartitioned {
     pub(crate) fn from_parts(
         grid: &GridDataset,
         partition: Partition,
-        features: Vec<Option<Vec<f64>>>,
+        features: GroupFeatures,
         ifl: f64,
         min_adjacent_variation: f64,
     ) -> Self {
@@ -147,14 +148,14 @@ impl Repartitioned {
         &self.partition
     }
 
-    /// Allocated group feature vectors (`None` = null group).
-    pub fn features(&self) -> &[Option<Vec<f64>>] {
+    /// Allocated group features (Algorithm 2), one row per group.
+    pub fn features(&self) -> &GroupFeatures {
         &self.features
     }
 
     /// Feature vector of one group.
     pub fn group_feature(&self, g: GroupId) -> Option<&[f64]> {
-        self.features[g as usize].as_deref()
+        self.features.row(g as usize)
     }
 
     /// IFL of this re-partitioned dataset w.r.t. the input grid.
@@ -174,7 +175,7 @@ impl Repartitioned {
 
     /// Number of non-null cell-groups (the training instances).
     pub fn num_valid_groups(&self) -> usize {
-        self.features.iter().filter(|f| f.is_some()).count()
+        self.features.num_valid_groups()
     }
 
     /// Attribute names carried from the input.

@@ -80,7 +80,7 @@ impl StreamingRepartitioner {
 
         let rects = partition.rects().to_vec();
         let cell_to_group = partition.cell_to_group().to_vec();
-        let features = rep.features().to_vec();
+        let features = rep.features().iter().map(|f| f.map(<[f64]>::to_vec)).collect();
 
         let mut this = StreamingRepartitioner {
             threshold,

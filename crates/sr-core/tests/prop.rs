@@ -155,7 +155,7 @@ proptest! {
         let p = extract_cell_groups(&norm, theta);
         let feats = allocate_features(&g, &p);
         for gid in 0..p.num_groups() as u32 {
-            let Some(fv) = &feats[gid as usize] else { continue };
+            let Some(fv) = feats.row(gid as usize) else { continue };
             let member_vals: Vec<f64> = p
                 .cells_of(gid)
                 .into_iter()

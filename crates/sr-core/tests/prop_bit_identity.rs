@@ -20,7 +20,7 @@
 //! `SR_THREADS`, which is process-global and racy across parallel tests.
 
 use sr_core::{
-    allocate_features_with, extract_cell_groups_with, partition_ifl_with, GroupRect,
+    allocate_features_with, extract_cell_groups_with, partition_ifl_with, GroupFeatures, GroupRect,
     IterationStrategy, Partition, RepartitionConfig, Repartitioner,
 };
 use sr_grid::{
@@ -431,8 +431,25 @@ fn assert_partitions_equal(a: &Partition, b: &Partition, ctx: &str) {
     }
 }
 
-fn assert_features_equal(a: &[Option<Vec<f64>>], b: &[Option<Vec<f64>>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: feature table length");
+/// The reference's nested feature table as a [`GroupFeatures`] arena
+/// (valid-member counts from the grid), for the production kernels that
+/// take one.
+fn to_group_features(
+    grid: &GridDataset,
+    partition: &Partition,
+    features: &[Option<Vec<f64>>],
+) -> GroupFeatures {
+    let p = grid.num_attrs();
+    let mut counts = vec![0u32; partition.num_groups()];
+    for id in grid.valid_cells() {
+        counts[partition.group_of(id) as usize] += 1;
+    }
+    let values = features.iter().flat_map(|f| f.clone().unwrap_or_else(|| vec![0.0; p])).collect();
+    GroupFeatures::from_flat(p, values, counts)
+}
+
+fn assert_features_equal(a: &GroupFeatures, b: &[Option<Vec<f64>>], ctx: &str) {
+    assert_eq!(a.num_groups(), b.len(), "{ctx}: feature table length");
     for (g, (fa, fb)) in a.iter().zip(b).enumerate() {
         match (fa, fb) {
             (None, None) => {}
@@ -512,7 +529,8 @@ fn ifl_matches_naive_eq3_reference() {
         let features = ref_allocate(grid, &partition);
         let want = ref_ifl(grid, &partition, &features, opts);
         for pool in pools() {
-            let got = partition_ifl_with(grid, &partition, &features, opts, &pool);
+            let arena = to_group_features(grid, &partition, &features);
+            let got = partition_ifl_with(grid, &partition, &arena, opts, &pool);
             assert_eq!(
                 bits(got),
                 bits(want),
@@ -548,11 +566,9 @@ fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
                     other.repartitioned.partition(),
                     &ctx,
                 );
-                assert_features_equal(
-                    base.repartitioned.features(),
-                    other.repartitioned.features(),
-                    &ctx,
-                );
+                let other_rows: Vec<Option<Vec<f64>>> =
+                    other.repartitioned.features().iter().map(|f| f.map(<[f64]>::to_vec)).collect();
+                assert_features_equal(base.repartitioned.features(), &other_rows, &ctx);
                 assert_eq!(
                     bits(base.repartitioned.ifl()),
                     bits(other.repartitioned.ifl()),
@@ -634,7 +650,7 @@ fn validity_bitmap_edge_cases() {
     assert!(adjacent_variations_with(&norm, &Pool::new(8)).is_empty());
     let part = ref_extract(&norm, 0.01);
     let feats = allocate_features_with(&g, &part, &Pool::new(2));
-    assert!(feats.iter().all(Option::is_none), "all groups null");
+    assert!(feats.iter().all(|f| f.is_none()), "all groups null");
     assert_eq!(partition_ifl_with(&g, &part, &feats, IflOptions::default(), &Pool::new(1)), 0.0);
 
     // Single valid cell: exactly one featured singleton group that keeps

@@ -30,10 +30,11 @@
 //! payloads). The trailer rejects any single-byte corruption.
 
 use crate::{Result, ServeError};
-use sr_core::{GroupRect, Partition, Repartitioned};
+use sr_core::{GroupFeatures, GroupRect, Partition, Repartitioned};
 use sr_grid::{AdjacencyList, AggType, Bounds, GridDataset};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub(crate) const MAGIC: &[u8; 6] = b"SRSNAP";
 const VERSION: u16 = 1;
@@ -42,6 +43,13 @@ const VERSION: u16 = 1;
 pub(crate) const MAX_CELLS: usize = 1 << 28;
 /// Upper bound on attributes per cell.
 pub(crate) const MAX_ATTRS: usize = 4096;
+/// A decoded v1 file's dense `t × p` feature table may be at most this
+/// many times the payload. v1 stores rows only for featured groups, so a
+/// small file of null groups with a wide schema could otherwise claim a
+/// table far larger than itself; a real snapshot stays far below (each
+/// null group costs at least 25 payload bytes, each featured group its
+/// own `8·p`-byte row).
+const MAX_TABLE_PER_PAYLOAD_BYTE: usize = 64;
 
 /// An immutable, serializable view of one accepted re-partitioning run.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +65,7 @@ pub struct Snapshot {
     integer_attrs: Vec<bool>,
     valid: Vec<bool>,
     partition: Partition,
-    features: Vec<Option<Vec<f64>>>,
+    features: GroupFeatures,
     adjacency: AdjacencyList,
 }
 
@@ -84,7 +92,7 @@ impl Snapshot {
             rep.integer_attrs().to_vec(),
             original.valid_mask().to_vec(),
             rep.partition().clone(),
-            rep.features().to_vec(),
+            rep.features().clone(),
             rep.adjacency(),
         )
     }
@@ -102,7 +110,7 @@ impl Snapshot {
         integer_attrs: Vec<bool>,
         valid: Vec<bool>,
         partition: Partition,
-        features: Vec<Option<Vec<f64>>>,
+        features: GroupFeatures,
         adjacency: AdjacencyList,
     ) -> Result<Snapshot> {
         let s = Snapshot {
@@ -148,8 +156,11 @@ impl Snapshot {
         if t == 0 || t > cells {
             return invalid(format!("group count {t} out of range for {cells} cells"));
         }
-        if self.features.len() != t {
+        if self.features.num_groups() != t {
             return invalid("feature table length != group count".into());
+        }
+        if self.features.num_attrs() != p {
+            return invalid("feature vector length != num_attrs".into());
         }
         if self.adjacency.len() != t {
             return invalid("adjacency length != group count".into());
@@ -182,21 +193,13 @@ impl Snapshot {
         if counted != cells {
             return invalid("group rectangles do not tile the grid".into());
         }
-        for (gid, fv) in self.features.iter().enumerate() {
-            if let Some(fv) = fv {
-                if fv.len() != p {
-                    return invalid(format!("group {gid} feature vector length != num_attrs"));
-                }
-            }
-        }
-        // A valid cell must belong to a featured group (Algorithm 2 gives
-        // features to every group with at least one valid member); the
-        // query engine relies on this to equate the validity bitmap with
-        // reconstruction validity.
-        for (cell, &v) in self.valid.iter().enumerate() {
-            if v && self.features[self.partition.group_of(cell as u32) as usize].is_none() {
-                return invalid(format!("valid cell {cell} belongs to a null group"));
-            }
+        // Every group's valid-member count must match the validity bitmap:
+        // Algorithm 2 gives features exactly to the groups with at least
+        // one valid member, the query engine relies on this to equate the
+        // validity bitmap with reconstruction validity, and the counts are
+        // the §III-C divisor of `Sum` attributes.
+        if valid_member_counts(&self.partition, &self.valid) != self.features.valid_counts() {
+            return invalid("group valid-member counts disagree with the validity bitmap".into());
         }
         for gid in 0..t as u32 {
             for &nb in self.adjacency.neighbors(gid) {
@@ -273,8 +276,9 @@ impl Snapshot {
         &self.partition
     }
 
-    /// Allocated group feature vectors (`None` = null group).
-    pub fn features(&self) -> &[Option<Vec<f64>>] {
+    /// Allocated group features (Algorithm 2 output) with each group's
+    /// valid-member count.
+    pub fn features(&self) -> &GroupFeatures {
         &self.features
     }
 
@@ -493,7 +497,7 @@ pub fn snapshot_to_bytes(s: &Snapshot) -> Vec<u8> {
     for &g in s.partition.cell_to_group() {
         buf.extend_from_slice(&g.to_le_bytes());
     }
-    for fv in &s.features {
+    for fv in s.features.iter() {
         match fv {
             Some(fv) => {
                 buf.push(1);
@@ -676,36 +680,57 @@ pub fn snapshot_from_bytes(buf: &[u8]) -> Result<Snapshot> {
     }
     let partition = Partition::new(rows, cols, groups, cell_to_group);
 
-    let mut features = Vec::with_capacity(num_groups);
-    for gid in 0..num_groups {
-        match r.u8()? {
-            0 => features.push(None),
-            1 => {
-                let mut fv = Vec::with_capacity(num_attrs);
-                for _ in 0..num_attrs {
-                    fv.push(r.f64()?);
-                }
-                features.push(Some(fv));
-            }
+    // A group is featured exactly when it has a valid member (see
+    // `Snapshot::validate`), so the counts follow from the bitmap and each
+    // presence flag must agree with them.
+    let counts = valid_member_counts(&partition, &valid);
+    let table_bytes = num_groups.checked_mul(num_attrs).and_then(|n| n.checked_mul(8));
+    if table_bytes.is_none_or(|b| b > MAX_TABLE_PER_PAYLOAD_BYTE * payload.len()) {
+        return r.err(format!(
+            "{num_groups} groups × {num_attrs} attributes exceed the feature-table bound \
+             for a {}-byte file",
+            buf.len()
+        ));
+    }
+    let mut values = vec![0.0f64; num_groups * num_attrs];
+    for (gid, row) in values.chunks_exact_mut(num_attrs).enumerate() {
+        let present = match r.u8()? {
+            0 => false,
+            1 => true,
             other => return r.err(format!("group {gid} presence flag must be 0/1, got {other}")),
+        };
+        if present != (counts[gid] > 0) {
+            return r.err(format!(
+                "group {gid} presence flag disagrees with its {} valid cells",
+                counts[gid]
+            ));
+        }
+        if present {
+            for v in row {
+                *v = r.f64()?;
+            }
         }
     }
 
-    let mut neighbors = Vec::with_capacity(num_groups);
+    let mut offsets = Vec::with_capacity(num_groups + 1);
+    offsets.push(0u32);
+    let mut neighbors = Vec::new();
     for gid in 0..num_groups {
         let degree = r.u32()? as usize;
         if degree > num_groups {
             return r.err(format!("group {gid} degree {degree} exceeds group count"));
         }
-        let mut nbs = Vec::with_capacity(degree);
         for _ in 0..degree {
             let nb = r.u32()?;
             if nb as usize >= num_groups {
                 return r.err(format!("group {gid} has out-of-range neighbor {nb}"));
             }
-            nbs.push(nb);
+            neighbors.push(nb);
         }
-        neighbors.push(nbs);
+        match u32::try_from(neighbors.len()) {
+            Ok(end) => offsets.push(end),
+            Err(_) => return r.err("adjacency exceeds u32::MAX neighbors"),
+        }
     }
     if r.pos != payload.len() {
         return r.err(format!("{} trailing bytes after the last section", payload.len() - r.pos));
@@ -721,9 +746,19 @@ pub fn snapshot_from_bytes(buf: &[u8]) -> Result<Snapshot> {
         integer_attrs,
         valid,
         partition,
-        features,
-        AdjacencyList::from_neighbors(neighbors),
+        GroupFeatures::from_flat(num_attrs, values, counts),
+        AdjacencyList::from_csr(offsets, neighbors),
     )
+}
+
+/// Valid-member count of every group of `partition` under the cell
+/// validity mask `valid`.
+pub(crate) fn valid_member_counts(partition: &Partition, valid: &[bool]) -> Vec<u32> {
+    let mut counts = vec![0u32; partition.num_groups()];
+    for (&g, _) in partition.cell_to_group().iter().zip(valid).filter(|(_, &v)| v) {
+        counts[g as usize] += 1;
+    }
+    counts
 }
 
 /// Writes a snapshot to `w` in `sr-snap v1` format.
@@ -759,16 +794,23 @@ pub fn save_snapshot_with(
     write_bytes_atomic(&snapshot_to_bytes(s), path.as_ref(), plan)
 }
 
+/// Process-wide sequence that makes every temp-file name unique, so
+/// concurrent saves to one path never share (and truncate) a temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// The atomic temp-file + fsync + rename writer shared by the v1 and v2
-/// save paths. On any failure the temp file is removed and the previous
-/// file at `path` is left untouched.
+/// save paths. The temp file is `<path>.tmp.<pid>.<seq>`, unique per call
+/// within the process, so concurrent writers to one path each rename a
+/// complete file and the last rename wins. On any failure the temp file is
+/// removed and the previous file at `path` is left untouched.
 pub(crate) fn write_bytes_atomic(
     bytes: &[u8],
     path: &Path,
     plan: Option<&sr_fault::FaultPlan>,
 ) -> Result<()> {
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| -> Result<()> {
         let file = std::fs::File::create(&tmp)?;
@@ -982,10 +1024,65 @@ mod tests {
             s.integer_attrs().to_vec(),
             s.valid_mask().to_vec(),
             s.partition().clone(),
-            s.features().to_vec(),
+            s.features().clone(),
             s.adjacency().clone(),
         );
         assert!(matches!(built, Err(ServeError::Invalid(_))));
+    }
+
+    #[test]
+    fn from_parts_rejects_counts_that_disagree_with_validity() {
+        let s = sample_snapshot();
+        let f = s.features();
+        let rebuild = |counts: Vec<u32>| {
+            Snapshot::from_parts(
+                s.theta(),
+                s.ifl(),
+                s.min_adjacent_variation(),
+                s.bounds(),
+                s.attr_names().to_vec(),
+                s.agg_types().to_vec(),
+                s.integer_attrs().to_vec(),
+                s.valid_mask().to_vec(),
+                s.partition().clone(),
+                GroupFeatures::from_flat(f.num_attrs(), f.values().to_vec(), counts),
+                s.adjacency().clone(),
+            )
+        };
+        assert_eq!(rebuild(f.valid_counts().to_vec()).unwrap(), s);
+        // A featured group turned null, and a null group given a member.
+        let featured = f.valid_counts().iter().position(|&c| c > 0).unwrap();
+        let mut counts = f.valid_counts().to_vec();
+        counts[featured] = 0;
+        assert!(matches!(rebuild(counts), Err(ServeError::Invalid(_))));
+        let null = f.valid_counts().iter().position(|&c| c == 0).expect("sample has a null group");
+        let mut counts = f.valid_counts().to_vec();
+        counts[null] = 1;
+        assert!(matches!(rebuild(counts), Err(ServeError::Invalid(_))));
+    }
+
+    #[test]
+    fn oversized_feature_table_is_rejected() {
+        // An all-null 8×8 grid with a 4096-attribute schema: 64 null
+        // groups whose dense table (2 MiB) dwarfs the ~22 KB file.
+        let p = 4096;
+        let s = Snapshot::from_parts(
+            0.05,
+            0.0,
+            0.0,
+            Bounds::unit(),
+            vec!["a".into(); p],
+            vec![AggType::Avg; p],
+            vec![false; p],
+            vec![false; 64],
+            Partition::identity(8, 8),
+            GroupFeatures::from_flat(p, vec![0.0; 64 * p], vec![0; 64]),
+            AdjacencyList::from_neighbors(vec![Vec::new(); 64]),
+        )
+        .unwrap();
+        let bytes = snapshot_to_bytes(&s);
+        assert!(8 * 64 * p > MAX_TABLE_PER_PAYLOAD_BYTE * bytes.len());
+        assert!(matches!(snapshot_from_bytes(&bytes), Err(ServeError::Format { .. })));
     }
 
     #[test]
@@ -1047,5 +1144,51 @@ mod tests {
         assert_eq!(back.theta.to_bits(), (-0.0f64).to_bits());
         assert!(back.min_adjacent_variation.is_nan());
         assert_eq!(snapshot_to_bytes(&back), bytes);
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_never_tear() {
+        // 8 threads × 20 distinct snapshots each, all saved to one path:
+        // every save renames its own complete temp file, so the survivor
+        // is one of the inputs byte for byte and no temp file remains.
+        let dir = std::env::temp_dir().join(format!("sr_snap_race_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("current.snap");
+        let base = sample_snapshot();
+        let inputs: Vec<Vec<Snapshot>> = (0..8)
+            .map(|t| {
+                (0..20)
+                    .map(|i| {
+                        let mut s = base.clone();
+                        s.theta = (t * 20 + i) as f64;
+                        s
+                    })
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for snaps in &inputs {
+                let path = &path;
+                scope.spawn(move || {
+                    for s in snaps {
+                        crate::save_snapshot_v2(s, path).unwrap();
+                    }
+                });
+            }
+        });
+        let stored = std::fs::read(&path).unwrap();
+        let loaded = load_snapshot(&path).unwrap();
+        assert!(
+            inputs.iter().flatten().any(|s| crate::snapshot_to_bytes_v2(s) == stored),
+            "the surviving file is not one of the saved snapshots"
+        );
+        assert!(inputs.iter().flatten().any(|s| *s == loaded));
+        let leftovers: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

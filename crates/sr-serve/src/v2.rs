@@ -45,11 +45,11 @@
 use crate::index::{self, Node, RectIndex, RectIndexView};
 use crate::query::QueryEngine;
 use crate::snapshot::{
-    crc32, read_file_bytes, snapshot_from_bytes, write_bytes_atomic, Snapshot, MAGIC, MAX_ATTRS,
-    MAX_CELLS,
+    crc32, read_file_bytes, snapshot_from_bytes, valid_member_counts, write_bytes_atomic, Snapshot,
+    MAGIC, MAX_ATTRS, MAX_CELLS,
 };
 use crate::{Result, ServeError};
-use sr_core::{representative, GroupRect, Partition};
+use sr_core::{representative, GroupFeatures, GroupRect, Partition};
 use sr_grid::{AdjacencyList, AggType, Bounds, CellId};
 use std::ops::Range;
 use std::path::Path;
@@ -249,13 +249,12 @@ fn nodes_to_bytes(nodes: &[Node]) -> &[u8] {
     pod_bytes(nodes)
 }
 
-/// Serving data derived from a snapshot: valid-member counts, dense
-/// per-(group, attribute) representatives, geographic centroids, and the
-/// packed rectangle index — exactly the four derived sections the
+/// Serving data derived from a snapshot: dense per-(group, attribute)
+/// representatives, geographic centroids, and the packed rectangle index.
+/// With the snapshot's valid-member counts (which `Snapshot::validate`
+/// pins to the validity bitmap) these are the four derived sections the
 /// encoder writes and [`SnapshotV2::verify_derived`] recomputes.
 struct Derived {
-    /// Valid-member count per group (the §III-C divisor for `Sum`).
-    valid_counts: Vec<u32>,
     /// Dense `t × p` representatives, row-major by group; rows of null
     /// groups are all-zero bits.
     reps: Vec<f64>,
@@ -271,18 +270,13 @@ impl Derived {
         let partition = snapshot.partition();
         let t = partition.num_groups();
         let p = snapshot.num_attrs();
-        let mut valid_counts = vec![0u32; t];
-        for (cell, &v) in snapshot.valid_mask().iter().enumerate() {
-            if v {
-                valid_counts[partition.group_of(cell as CellId) as usize] += 1;
-            }
-        }
+        let features = snapshot.features();
         let aggs = snapshot.agg_types();
         let mut reps = vec![0.0f64; t * p];
-        for (g, fv) in snapshot.features().iter().enumerate() {
+        for (g, (&count, fv)) in features.valid_counts().iter().zip(features.iter()).enumerate() {
             if let Some(fv) = fv {
                 for (k, &v) in fv.iter().enumerate() {
-                    reps[g * p + k] = representative(v, aggs[k], valid_counts[g] as usize);
+                    reps[g * p + k] = representative(v, aggs[k], count as usize);
                 }
             }
         }
@@ -294,7 +288,7 @@ impl Derived {
             .collect();
         let index =
             RectIndex::build(partition.rects(), &centroids, snapshot.rows(), snapshot.cols());
-        Derived { valid_counts, reps, centroids, index }
+        Derived { reps, centroids, index }
     }
 }
 
@@ -332,7 +326,7 @@ pub fn snapshot_to_bytes_v2(s: &Snapshot) -> Vec<u8> {
 
     // Exact section lengths (zero padding to 8 included).
     let schema_content: usize = (0..p).map(|k| 4 + s.attr_names()[k].len()).sum();
-    let adj_total: usize = (0..t as u32).map(|g| s.adjacency().neighbors(g).len()).sum();
+    let adj_total = s.adjacency().flat_neighbors().len();
     let presence_padded = align8(t.div_ceil(8));
     let adj_offsets_padded = align8(4 * (t + 1));
     let idx_lo_padded = align8(4 * (num_levels + 1));
@@ -413,36 +407,25 @@ pub fn snapshot_to_bytes_v2(s: &Snapshot) -> Vec<u8> {
     put(&mut buf, o, pod_bytes(s.partition().cell_to_group()));
 
     // 5 features: LSB-first group presence bitmap (padded to 8), then the
-    // dense t × p raw feature table; rows of null groups are zero bits.
+    // dense t × p raw feature table; rows of null groups are zero bits
+    // (as `GroupFeatures` stores them), so the table is one copy.
+    let features = s.features();
     {
         let sec = &mut buf[starts[4]..starts[4] + sec_lens[4]];
-        let mut o = presence_padded;
-        for (g, fv) in s.features().iter().enumerate() {
-            if let Some(fv) = fv {
-                sec[g / 8] |= 1 << (g % 8);
-                sec[o..o + 8 * p].copy_from_slice(pod_bytes(fv));
-            }
-            o += 8 * p;
+        for (g, _) in features.valid_counts().iter().enumerate().filter(|(_, &c)| c > 0) {
+            sec[g / 8] |= 1 << (g % 8);
         }
+        put(sec, presence_padded, pod_bytes(features.values()));
     }
 
     // 6 adjacency: CSR — (t + 1) × u32 offsets (padded to 8), then
-    // offsets[t] × u32 neighbor ids (padded to 8). offsets[0] is the
-    // buffer's zero initialization.
-    {
-        let sec = &mut buf[starts[5]..starts[5] + sec_lens[5]];
-        let mut total = 0u32;
-        let mut o = adj_offsets_padded;
-        for gid in 0..t as u32 {
-            let neighbors = s.adjacency().neighbors(gid);
-            total += neighbors.len() as u32;
-            put(sec, 4 * (gid as usize + 1), &total.to_le_bytes());
-            o = put(sec, o, pod_bytes(neighbors));
-        }
-    }
+    // offsets[t] × u32 neighbor ids (padded to 8): the adjacency list's
+    // own two arrays.
+    put(&mut buf, starts[5], pod_bytes(s.adjacency().offsets()));
+    put(&mut buf, starts[5] + adj_offsets_padded, pod_bytes(s.adjacency().flat_neighbors()));
 
     // 7 counts, 8 reps, 9 centroids: whole-array copies.
-    put(&mut buf, starts[6], pod_bytes(&derived.valid_counts));
+    put(&mut buf, starts[6], pod_bytes(features.valid_counts()));
     put(&mut buf, starts[7], pod_bytes(&derived.reps));
     put(&mut buf, starts[8], pod_bytes(&derived.centroids));
 
@@ -1295,10 +1278,11 @@ impl SnapshotV2 {
         Partition::new(self.rows, self.cols, self.rects().to_vec(), self.cell_to_group().to_vec())
     }
 
-    /// Clones the adjacency lists into their owned form.
+    /// Clones the adjacency lists into their owned (CSR) form.
     pub fn clone_adjacency(&self) -> AdjacencyList {
-        AdjacencyList::from_neighbors(
-            (0..self.groups as u32).map(|g| self.neighbors(g).to_vec()).collect(),
+        AdjacencyList::from_csr(
+            cast_slice::<u32>(&self.buf()[self.layout.adj_offsets.clone()]).to_vec(),
+            cast_slice::<u32>(&self.buf()[self.layout.adj_neighbors.clone()]).to_vec(),
         )
     }
 
@@ -1308,8 +1292,19 @@ impl SnapshotV2 {
     pub fn to_snapshot(&self) -> Result<Snapshot> {
         let valid: Vec<bool> =
             (0..self.num_cells()).map(|c| self.cell_valid(c as CellId)).collect();
-        let features: Vec<Option<Vec<f64>>> =
-            (0..self.groups as u32).map(|g| self.feature(g).map(<[f64]>::to_vec)).collect();
+        let partition = self.clone_partition();
+        // Counts come from the bitmap (the stored counts section is only
+        // audited by `verify_derived`), and every presence bit must agree
+        // with them: a group is featured exactly when it has a valid cell.
+        let counts = valid_member_counts(&partition, &valid);
+        if let Some(g) = (0..self.groups).find(|&g| self.featured(g as u32) != (counts[g] > 0)) {
+            return Err(ServeError::Invalid(format!(
+                "group {g} presence bit disagrees with its {} valid cells",
+                counts[g]
+            )));
+        }
+        let values = cast_slice::<f64>(&self.buf()[self.layout.features.clone()]).to_vec();
+        let features = GroupFeatures::from_flat(self.attrs, values, counts);
         Snapshot::from_parts(
             self.theta,
             self.ifl,
@@ -1319,7 +1314,7 @@ impl SnapshotV2 {
             self.agg_types.clone(),
             self.integer_attrs.clone(),
             valid,
-            self.clone_partition(),
+            partition,
             features,
             self.clone_adjacency(),
         )
@@ -1343,7 +1338,12 @@ pub fn save_snapshot_v2_with(
     path: impl AsRef<Path>,
     plan: Option<&sr_fault::FaultPlan>,
 ) -> Result<()> {
-    write_bytes_atomic(&snapshot_to_bytes_v2(s), path.as_ref(), plan)
+    let bytes = {
+        let _span = sr_obs::span("serve.publish.encode");
+        snapshot_to_bytes_v2(s)
+    };
+    let _span = sr_obs::span("serve.publish.write");
+    write_bytes_atomic(&bytes, path.as_ref(), plan)
 }
 
 /// Loads a snapshot file of **either** format version into a

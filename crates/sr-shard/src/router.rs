@@ -63,7 +63,7 @@
 use crate::manifest::{load_manifest, ShardManifest};
 use crate::split::shard_order;
 use crate::{Result, ShardError};
-use sr_core::Partition;
+use sr_core::{GroupFeatures, Partition};
 use sr_fault::FaultPlan;
 use sr_grid::Bounds;
 use sr_obs::{Counter, Histogram, Registry};
@@ -472,23 +472,29 @@ fn fuse_engines(engines: &[&Arc<QueryEngine>]) -> Option<Arc<QueryEngine>> {
     }
     let base = engines[0];
     let partition = base.clone_partition();
-    if engines[1..].iter().any(|e| e.clone_partition() != partition) {
+    let p = base.num_attrs();
+    if engines[1..].iter().any(|e| e.num_attrs() != p || e.clone_partition() != partition) {
         return None;
     }
     let mut valid = vec![false; base.num_cells()];
-    let mut features: Vec<Option<Vec<f64>>> = vec![None; partition.num_groups()];
+    let mut values = vec![0.0f64; partition.num_groups() * p];
     for e in engines {
         for cell in 0..e.num_cells() as u32 {
             if e.cell_valid(cell) {
                 valid[cell as usize] = true;
             }
         }
-        for (g, feature) in features.iter_mut().enumerate() {
+        for (g, row) in values.chunks_exact_mut(p).enumerate() {
             if let Some(fv) = e.feature(g as u32) {
-                *feature = Some(fv.to_vec());
+                row.copy_from_slice(fv);
             }
         }
     }
+    let mut counts = vec![0u32; partition.num_groups()];
+    for (&g, _) in partition.cell_to_group().iter().zip(&valid).filter(|(_, &v)| v) {
+        counts[g as usize] += 1;
+    }
+    let features = GroupFeatures::from_flat(p, values, counts);
     let snap = Snapshot::from_parts(
         base.theta(),
         base.ifl(),

@@ -19,7 +19,7 @@
 
 use crate::manifest::{ShardEntry, ShardManifest};
 use crate::Result;
-use sr_core::Partition;
+use sr_core::{GroupFeatures, Partition};
 use sr_grid::hilbert_key_scaled;
 use sr_par::Pool;
 use sr_serve::snapshot::Snapshot;
@@ -113,12 +113,17 @@ pub fn shard_snapshot(full: &Snapshot, order: &[u32], plan: &ShardPlan) -> Resul
         .enumerate()
         .map(|(cell, &v)| v && owned[partition.group_of(cell as u32) as usize])
         .collect();
-    let features: Vec<Option<Vec<f64>>> = full
-        .features()
-        .iter()
-        .enumerate()
-        .map(|(g, fv)| if owned[g] { fv.clone() } else { None })
-        .collect();
+    // Unowned groups become null (count 0); `from_flat` zeroes their rows.
+    let full_features = full.features();
+    let mut counts = full_features.valid_counts().to_vec();
+    for (c, _) in counts.iter_mut().zip(&owned).filter(|(_, &o)| !o) {
+        *c = 0;
+    }
+    let features = GroupFeatures::from_flat(
+        full_features.num_attrs(),
+        full_features.values().to_vec(),
+        counts,
+    );
     Ok(Snapshot::from_parts(
         full.theta(),
         full.ifl(),
@@ -142,7 +147,7 @@ fn centroid_bbox(full: &Snapshot, order: &[u32], plan: &ShardPlan) -> Option<(f6
     let lon_step = (bounds.lon_max - bounds.lon_min) / full.cols() as f64;
     let mut bbox: Option<(f64, f64, f64, f64)> = None;
     for &g in &order[plan.start..plan.start + plan.count] {
-        if full.features()[g as usize].is_none() {
+        if full.features().row(g as usize).is_none() {
             continue;
         }
         let rect = full.partition().rect(g);
@@ -203,7 +208,7 @@ pub fn write_shards(
         groups: full.partition().num_groups(),
         cells: full.num_cells(),
         valid_cells: full.valid_mask().iter().filter(|&&v| v).count(),
-        valid_groups: full.features().iter().filter(|f| f.is_some()).count(),
+        valid_groups: full.features().num_valid_groups(),
         attrs: full.num_attrs(),
         theta: full.theta(),
         ifl: full.ifl(),
@@ -273,7 +278,7 @@ mod tests {
             // Same partition, masked validity/features.
             assert_eq!(shard.partition(), snap.partition());
             valid_union += shard.valid_mask().iter().filter(|&&v| v).count();
-            featured_union += shard.features().iter().filter(|f| f.is_some()).count();
+            featured_union += shard.features().num_valid_groups();
             // Round-trips through both snapshot codecs.
             let v1 = sr_serve::snapshot_to_bytes(&shard);
             assert_eq!(sr_serve::snapshot_from_bytes(&v1).unwrap(), shard);
@@ -285,7 +290,7 @@ mod tests {
         }
         // Masks partition the original validity and feature sets exactly.
         assert_eq!(valid_union, snap.valid_mask().iter().filter(|&&v| v).count());
-        assert_eq!(featured_union, snap.features().iter().filter(|f| f.is_some()).count());
+        assert_eq!(featured_union, snap.features().num_valid_groups());
     }
 
     #[test]

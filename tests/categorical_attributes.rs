@@ -84,7 +84,7 @@ fn categorical_ifl_is_mismatch_rate() {
     let p = Partition::new(1, 4, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 3 }], vec![0, 0, 0, 0]);
     let feats = allocate_features(&g, &p);
     // Mode of {1,1,1,2} is 1.
-    assert_eq!(feats[0].as_deref(), Some(&[1.0][..]));
+    assert_eq!(feats.row(0), Some(&[1.0][..]));
     let ifl = partition_ifl(&g, &p, &feats, IflOptions::default());
     // One of four cells mismatches: 25%.
     assert!((ifl - 0.25).abs() < 1e-12);

@@ -107,7 +107,7 @@ fn example4_average_rounded_to_integer() {
     let partition = extract_cell_groups(&norm, 1.0);
     assert_eq!(partition.num_groups(), 1);
     let features = allocate_features(&grid, &partition);
-    assert_eq!(features[0].as_deref(), Some(&[24.0][..]));
+    assert_eq!(features.row(0), Some(&[24.0][..]));
 }
 
 #[test]
